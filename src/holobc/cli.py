@@ -24,12 +24,10 @@ from .asymptotics import (I_PLUS_LOG_LIMIT, II_LIMIT_CLAIMED, II_LIMIT_DERIVED,
                           closed_form_segment, fit_as_dict, fit_models,
                           integrand_II, richardson_limit, verify_antiderivatives)
 from .errors import (BudgetExceededError, FormNotClosedError, GeometryError,
-                     HolobcError, NoOutwardVectorError, NotL1Error,
-                     ScenarioError)
+                     HolobcError, NoOutwardVectorError, ScenarioError)
 from .functions import estimate_growth
 from .geometry import classify_stratum, locate_strata, validate_domain
-from .pairing import (PairingSchedule, integrability_scale, pairing_sequence,
-                      stokes_oracle, weinstock_test)
+from .pairing import pairing_sequence, stokes_oracle, weinstock_test
 from .quadrature import QuadratureSpec, SpecialPoint, adaptive_integrate
 from .scenario import (Scenario, build_cover, build_domain, build_forms,
                        build_function, build_quadrature, build_schedule,
@@ -143,6 +141,9 @@ def _stratum_rows(domain, resolution) -> list[dict]:
 
 
 def cmd_classify(args) -> int:
+    if args.resolution is not None and args.resolution < 1:
+        raise ScenarioError(
+            f"--resolution must be at least 1, got {args.resolution}")
     scenario = _load(args)
     domain = _prepared_domain(scenario)
     rows = _stratum_rows(domain, args.resolution)
@@ -171,18 +172,12 @@ def _run_sequences(scenario, args, write_csv: bool):
                               steps=args.steps)
     spec = build_quadrature(scenario, rel_tol=args.tol)
 
-    try:
-        oracle_scale = integrability_scale(domain, f, spec)
-    except (NotL1Error, BudgetExceededError):
-        oracle_scale = None
-
     out_dir = args.out
     results = []
     for k, psi in enumerate(forms):
         csv_name = f"{scenario.output_stem}_pairing_{k}.csv"
         try:
-            samples = pairing_sequence(domain, f, psi, cover, schedule, spec,
-                                       threads=args.threads)
+            samples = pairing_sequence(domain, f, psi, cover, schedule, spec)
         except BudgetExceededError as err:
             partial = getattr(err, "partial", []) or []
             if write_csv and out_dir is not None:
@@ -201,12 +196,12 @@ def _run_sequences(scenario, args, write_csv: bool):
                 encoding="utf-8")
 
         fit = fit_models(samples)
-        oracle = None
-        if oracle_scale is not None:
-            try:
-                oracle = stokes_oracle(domain, f, psi, spec)
-            except (NotL1Error, BudgetExceededError, HolobcError):
-                oracle = None
+        try:
+            oracle = stokes_oracle(domain, f, psi, spec)
+        except HolobcError:
+            # f is not integrable (or its volume integral did not settle), so
+            # the pairing has no Stokes oracle
+            oracle = None
         entry = {
             "label": psi.label,
             "csv": csv_name if (write_csv and out_dir is not None) else None,
@@ -237,7 +232,6 @@ def cmd_pair(args) -> int:
         "command": "pair",
         "version": __version__,
         "config": scenario_to_dict(scenario),
-        "threads": args.threads,
         "forms": [entry for entry, _ in results],
         "existence": classify_bc_existence([fit for _, fit in results]),
     }
@@ -423,7 +417,7 @@ def cmd_reproduce_paper(args) -> int:
     scen = load_scenario("square_f=1/z^2")
     pair_args = argparse.Namespace(
         scenario=None, eps0=None, ratio=None, steps=None, tol=None,
-        out=out_dir, threads=args.threads, diagnostics=False)
+        out=out_dir, diagnostics=False)
     _, results = _run_sequences(scen, pair_args, write_csv=True)
     entry, fit = results[0]
     re_channel = fit.channels["re"]
@@ -486,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="scenario JSON path or shipped scenario name")
         p.add_argument("--out", type=Path, metavar="DIR", default=None,
                        help="directory for CSV files and report copies")
-        p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker threads inside library calls")
         p.add_argument("--diagnostics", action="store_true",
                        help="include per-chart contributions in reports")
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bumps import AngularProfile, IntervalProfile, RadialProfile
-from .errors import GeometryError, NoOutwardVectorError, OutsideDomainError
+from .errors import GeometryError, NoOutwardVectorError
 
 __all__ = [
     "FacePatch",
@@ -41,10 +41,6 @@ __all__ = [
     "ChartCover",
     "chart_margin",
     "nearest_boundary_gap",
-    "box_domain",
-    "disc_domain",
-    "polydisc_domain",
-    "box_cross_disc_domain",
     "product_domain",
     "domain_from_pieces",
     "validate_domain",
@@ -52,7 +48,6 @@ __all__ = [
     "DiscFactor",
     "locate_strata",
     "classify_stratum",
-    "boundary_distance",
     "build_chart_cover",
     "RANK_TOLERANCE",
 ]
@@ -514,31 +509,6 @@ def _param_on_curve(curve: _Curve, point: complex, tol: float = 1e-9) -> float |
     return None
 
 
-def box_domain(x_range=(0.0, 2.0), y_range=(0.0, 2.0)) -> PiecewiseDomain:
-    """Open box in C with four box-side pieces."""
-    return _single_factor_domain(BoxFactor(tuple(map(float, x_range)), tuple(map(float, y_range))),
-                                 f"box{x_range}x{y_range}")
-
-
-def disc_domain(center: complex = 0.0, radius: float = 1.0) -> PiecewiseDomain:
-    return _single_factor_domain(DiscFactor(complex(center), float(radius)),
-                                 f"disc({center},{radius})")
-
-
-def polydisc_domain(center0: complex = 0.0, radius0: float = 1.0,
-                    center1: complex = 0.0, radius1: float = 1.0) -> PiecewiseDomain:
-    return product_domain(DiscFactor(complex(center0), float(radius0)),
-                          DiscFactor(complex(center1), float(radius1)),
-                          label="polydisc")
-
-
-def box_cross_disc_domain(x_range=(0.0, 2.0), y_range=(0.0, 2.0),
-                          center: complex = 0.0, radius: float = 1.0) -> PiecewiseDomain:
-    return product_domain(BoxFactor(tuple(map(float, x_range)), tuple(map(float, y_range))),
-                          DiscFactor(complex(center), float(radius)),
-                          label="box-cross-disc")
-
-
 def product_domain(factor0, factor1, label: str = "") -> PiecewiseDomain:
     """Product of two one-variable factors inside C^2."""
     defs0 = _factor_pieces(factor0, 0, 2)
@@ -884,7 +854,7 @@ def locate_strata(domain: PiecewiseDomain, grid_resolution: int | None = None,
     per stratum, deterministically.
     """
     n = domain.ambient_dim
-    res = grid_resolution or (28 if n == 1 else 10)
+    res = (28 if n == 1 else 10) if grid_resolution is None else grid_resolution
     axes = [np.linspace(lo, hi, res) for lo, hi in domain.bounding_box]
     cell = np.array([(hi - lo) / max(res - 1, 1) for lo, hi in domain.bounding_box])
     cell_diag = float(np.linalg.norm(cell))
@@ -997,16 +967,8 @@ def _dedupe(samples: np.ndarray, radius: float, cap: int) -> np.ndarray:
 # Distance to the boundary
 
 
-def boundary_distance(domain: PiecewiseDomain, point: np.ndarray) -> float:
-    """Euclidean distance from an interior point to the active boundary."""
-    p = np.atleast_1d(np.asarray(point, dtype=np.complex128))
-    if not np.all(domain.rho_all(p[None, :]) < 0):
-        raise OutsideDomainError(f"point {p} is not in the open domain")
-    return nearest_boundary_gap(domain, p)
-
-
 def nearest_boundary_gap(domain: PiecewiseDomain, point: np.ndarray) -> float:
-    """Distance to the active boundary without the interior precondition."""
+    """Distance from a point, inside the domain or not, to the active boundary."""
     p = np.atleast_1d(np.asarray(point, dtype=np.complex128))
     best = np.inf
     best_patch = None

@@ -30,11 +30,6 @@ from .rational import compile_node, conj_derivative, parse_expression
 # route and frozen; calibrate_stokes_sign re-derives it for the test suite.
 STOKES_SIGN = 1
 
-# A chart weight below this is treated as off-support so that integrands are
-# never evaluated at points where only the (possibly singular) function blows
-# up while the weight vanishes.
-_WEIGHT_FLOOR = 0.0
-
 
 # ---------------------------------------------------------------------------
 # Cutoffs and test forms
@@ -302,7 +297,7 @@ def _translated_pole_guard(domain: PiecewiseDomain, f: HolomorphicFunction,
             q = np.array([q_var])
             if nearest_boundary_gap(domain, q) > tol:
                 continue
-            if chart.weight(q[None, :])[0] > _WEIGHT_FLOOR:
+            if chart.weight(q[None, :])[0] > 0.0:
                 raise PoleOnBoundaryError(
                     f"chart {chart.label!r}: pole of {f.label or 'f'} shifted "
                     f"to {q_var:.3e} lies on the supported boundary at "
@@ -310,7 +305,7 @@ def _translated_pole_guard(domain: PiecewiseDomain, f: HolomorphicFunction,
         else:
             if guard_pts is None or len(guard_pts) == 0:
                 continue
-            hot = chart.weight(guard_pts) > _WEIGHT_FLOOR
+            hot = chart.weight(guard_pts) > 0.0
             if not np.any(hot):
                 continue
             gaps = np.abs(guard_pts[hot][:, pole.var] - q_var)
@@ -362,7 +357,9 @@ def pairing_at_epsilon(domain: PiecewiseDomain, f: HolomorphicFunction,
         def density(z, frame, shift=shift, index=index):
             w = cover.partition_weight(index, z)
             out = np.zeros(len(z), dtype=np.complex128)
-            hot = w > _WEIGHT_FLOOR
+            # f is evaluated only where the weight is positive, so a
+            # (possibly singular) f never blows up where the weight vanishes
+            hot = w > 0.0
             if np.any(hot):
                 zh = z[hot]
                 out[hot] = (w[hot] * f(zh - shift)
@@ -419,13 +416,11 @@ class PairingSchedule:
 def pairing_sequence(domain: PiecewiseDomain, f: HolomorphicFunction,
                      psi: TestForm, cover: ChartCover,
                      schedule: PairingSchedule | None = None,
-                     spec: QuadratureSpec | None = None,
-                     threads: int = 1) -> list[PairingSample]:
+                     spec: QuadratureSpec | None = None) -> list[PairingSample]:
     """Evaluate the pairing along a geometric epsilon schedule.
 
-    Distinct epsilons may run on worker threads; results are collected in
-    schedule order so the output is identical for any thread count.  On a
-    budget failure the exception carries the completed prefix in ``partial``.
+    On a budget failure the exception carries the completed prefix in
+    ``partial``.
     """
     if schedule is None:
         schedule = PairingSchedule()
@@ -436,33 +431,14 @@ def pairing_sequence(domain: PiecewiseDomain, f: HolomorphicFunction,
     guard_pts = None
     if domain.ambient_dim == 2 and f.pole_locus:
         guard_pts, _ = domain.boundary_samples(per_axis=4_000)
-    eps_list = schedule.epsilons()
-
-    def run(eps: float) -> PairingSample:
-        return pairing_at_epsilon(domain, f, psi, cover, eps, spec,
-                                  guard_pts=guard_pts)
-
     samples: list[PairingSample] = []
-    if threads <= 1:
-        for eps in eps_list:
-            try:
-                samples.append(run(eps))
-            except BudgetExceededError as err:
-                err.partial = list(samples)
-                raise
-        return samples
-
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run, eps) for eps in eps_list]
-        for fut in futures:
-            try:
-                samples.append(fut.result())
-            except BudgetExceededError as err:
-                for later in futures:
-                    later.cancel()
-                err.partial = list(samples)
-                raise
+    for eps in schedule.epsilons():
+        try:
+            samples.append(pairing_at_epsilon(domain, f, psi, cover, eps, spec,
+                                              guard_pts=guard_pts))
+        except BudgetExceededError as err:
+            err.partial = samples
+            raise
     return samples
 
 
@@ -515,10 +491,16 @@ def stokes_oracle(domain: PiecewiseDomain, f: HolomorphicFunction,
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12,
                               max_subdivisions=400_000, corner_refine_depth=8)
+    return sign * _stokes_volume(domain, f, psi, spec).value
+
+
+def _stokes_volume(domain: PiecewiseDomain, f: HolomorphicFunction,
+                   psi: TestForm, spec: QuadratureSpec) -> IntegralResult:
+    """int_Omega f * density(dbar psi) dV, presplit at the poles of f; the
+    caller has already screened f with integrability_scale."""
     specials = [SpecialPoint(_pole_point(domain, p), 0.0) for p in f.pole_locus]
-    result = integrate_volume(
+    return integrate_volume(
         domain, lambda z: f(z) * psi.dbar_volume_density(z), spec, specials)
-    return sign * result.value
 
 
 def calibrate_stokes_sign(domain: PiecewiseDomain,
@@ -579,6 +561,13 @@ def face_distribution_pairing(domain: PiecewiseDomain,
     """Sum over faces of int alpha_j * (pullback of psi) on the active part."""
     if spec is None:
         spec = QuadratureSpec()
+    return _face_pairing(domain, distributions, psi, spec, diagnostics).value
+
+
+def _face_pairing(domain: PiecewiseDomain,
+                  distributions: Sequence[FaceDistribution], psi: TestForm,
+                  spec: QuadratureSpec,
+                  diagnostics: list | None = None) -> IntegralResult:
     parts = []
     for dist in distributions:
         if not (0 <= dist.face_index < len(domain.pieces)):
@@ -595,8 +584,7 @@ def face_distribution_pairing(domain: PiecewiseDomain,
 
             parts.append(integrate_face(patch, density, spec,
                                         diagnostics=diagnostics))
-    total = combine_results(parts)
-    return total.value
+    return combine_results(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +667,7 @@ def weinstock_test(domain: PiecewiseDomain, f, form_family: Sequence[TestForm],
         bpoles = boundary_poles(domain, func)
         if not bpoles:
             route = "faces"
+            dists = face_restrictions(domain, func)
             scale_val = _boundary_sup(domain, func)
         else:
             try:
@@ -709,13 +698,10 @@ def weinstock_test(domain: PiecewiseDomain, f, form_family: Sequence[TestForm],
                 else (lambda z: func(z) * form.dbar_volume_density(z))
             oracle = integrate_volume(domain, fdens, vol_spec).value
         if route == "faces":
-            value, err, cells = _weinstock_face_value(domain, func, dists,
-                                                      form, spec)
+            res = _face_pairing(domain, dists, form, spec)
+            value, err, cells = res.value, res.err_est, res.cells_used
         elif route == "stokes":
-            res = integrate_volume(
-                domain, lambda z: func(z) * form.dbar_volume_density(z),
-                spec, [SpecialPoint(_pole_point(domain, p), 0.0)
-                       for p in func.pole_locus])
+            res = _stokes_volume(domain, func, form, spec)
             value, err, cells = res.value, res.err_est, res.cells_used
         else:
             value, err, cells = _weinstock_epsilon_value(domain, func, form,
@@ -732,27 +718,6 @@ def weinstock_test(domain: PiecewiseDomain, f, form_family: Sequence[TestForm],
 def _boundary_sup(domain: PiecewiseDomain, func: HolomorphicFunction) -> float:
     pts, _ = domain.boundary_samples(per_axis=48 if domain.ambient_dim == 1 else 400)
     return float(np.max(np.abs(func(pts))))
-
-
-def _weinstock_face_value(domain, func, dists, form, spec):
-    if dists is None:
-        dists = face_restrictions(domain, func)
-    diag: list = []
-    parts = []
-    for dist in dists:
-        piece = domain.pieces[dist.face_index]
-        for patch in piece.patches:
-
-            def density(z, frame, dist=dist):
-                vals = (np.asarray(dist.density(z), dtype=np.complex128)
-                        * form.face_density(z, frame))
-                if dist.support_mask is not None:
-                    vals = np.where(dist.support_mask(z), vals, 0.0)
-                return vals
-
-            parts.append(integrate_face(patch, density, spec))
-    total = combine_results(parts)
-    return total.value, total.err_est, total.cells_used
 
 
 def _weinstock_epsilon_value(domain, func, form, cover, spec):

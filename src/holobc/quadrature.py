@@ -25,7 +25,6 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "SpecialPoint",
-    "gauss_kronrod_panel",
     "adaptive_integrate",
     "integrate_face",
     "integrate_boundary",
@@ -302,14 +301,6 @@ def adaptive_integrate(eval_fn: Callable[[np.ndarray], np.ndarray],
             diagnostics.append(tuple(row))
 
     return IntegralResult(total_value, total_err, used, converged)
-
-
-def gauss_kronrod_panel(eval_fn: Callable[[np.ndarray], np.ndarray],
-                        box: Sequence[tuple[float, float]]) -> tuple[complex, float]:
-    """Single-cell Kronrod value and error estimate (no refinement)."""
-    cell = _Cell(tuple((float(a), float(b)) for a, b in box), 0)
-    _evaluate_cells([cell], len(cell.box), eval_fn)
-    return cell.value, cell.err
 
 
 def combine_results(results: Iterable[IntegralResult]) -> IntegralResult:

@@ -127,6 +127,13 @@ def test_exit_2_on_malformed_scenario(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+def test_exit_2_on_resolution_below_one(capsys, resolution):
+    assert main(["classify", "--scenario", "square",
+                 "--resolution", resolution]) == 2
+    capsys.readouterr()
+
+
 def test_exit_3_on_bad_geometry(tmp_path, capsys):
     pieces = [dict(p) for p in SQUARE_PIECES]
     pieces[0]["value"], pieces[1]["value"] = 2.0, 0.0

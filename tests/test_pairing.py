@@ -7,7 +7,8 @@ from holobc.errors import (BudgetExceededError, FormNotClosedError,
                            NotL1Error, PoleOnBoundaryError, ScenarioError)
 from holobc.functions import rational_function
 from holobc.geometry import ChartCover, SupportBall, TranslationChart
-from holobc.pairing import (PairingSchedule, calibrate_stokes_sign, check_form,
+from holobc.pairing import (FaceDistribution, PairingSchedule,
+                            calibrate_stokes_sign, check_form,
                             face_distribution_pairing, face_restrictions,
                             form_from_expressions, integrability_scale,
                             pairing_at_epsilon, pairing_sequence,
@@ -74,6 +75,22 @@ def test_face_route_matches_translated_route(square_domain, square_cover,
     # the translation error is O(eps): small and shrinking
     assert gaps[0] < 2e-2
     assert gaps[1] < 0.75 * gaps[0]
+
+
+def test_weinstock_face_route_checks_face_indices(square_domain):
+    dz = form_from_expressions("1", 1, label="dz")
+
+    def ones(z):
+        return np.ones(len(z), dtype=np.complex128)
+
+    faces = range(len(square_domain.pieces))
+    report = weinstock_test(square_domain,
+                            [FaceDistribution(j, ones) for j in faces], [dz])
+    assert report.passed
+    assert report.entries[0].route == "faces"
+    for bad in (-1, len(square_domain.pieces)):
+        with pytest.raises(ScenarioError):
+            weinstock_test(square_domain, [FaceDistribution(bad, ones)], [dz])
 
 
 def test_integrability_scale_splits_orders(square_domain, fast_spec):
