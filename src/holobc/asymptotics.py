@@ -44,7 +44,9 @@ _MODEL_BASES = {
 # being classified as divergence
 _COEFF_FLOOR = 1e-12
 
-_MISFIT_CEILING = 0.05   # fraction of data scale above which no model is trusted
+MIN_FIT_SAMPLES = 6     # fewest samples fit_models classifies
+
+_MISFIT_CEILING = 0.05   # fraction of max|F| above which no model is trusted
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,13 @@ def _sample_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     return np.array(eps)[order], np.array(vals)[order]
 
 
-def _fit_channel(eps: np.ndarray, y: np.ndarray) -> ChannelFit:
+def _fit_channel(eps: np.ndarray, y: np.ndarray, joint_scale: float) -> ChannelFit:
+    """Fit one channel; ``joint_scale`` is max|F| over the window.
+
+    The divergence coefficients are judged against the channel's own scale,
+    the misfit against the joint one: a channel that tends to 0 like O(eps)
+    next to a nonzero other channel is converging, not undetermined.
+    """
     scale = float(np.max(np.abs(y)))
     eps_min = float(np.min(eps))
     columns = {
@@ -121,7 +129,7 @@ def _fit_channel(eps: np.ndarray, y: np.ndarray) -> ChannelFit:
         verdict = POWER_DIVERGENT
     elif log_sig:
         verdict = LOG_DIVERGENT
-    elif rms > _MISFIT_CEILING * max(scale, _COEFF_FLOOR):
+    elif rms > _MISFIT_CEILING * max(joint_scale, _COEFF_FLOOR):
         verdict = UNDETERMINED
     else:
         verdict = CONVERGENT
@@ -148,16 +156,17 @@ def fit_models(samples, window: int = 8) -> AsymptoticFit:
     schedules.
     """
     eps, vals = _sample_arrays(samples)
-    if len(eps) < 6:
+    if len(eps) < MIN_FIT_SAMPLES:
         raise TooFewSamplesError(
-            f"need at least 6 samples to classify, got {len(eps)}")
+            f"need at least {MIN_FIT_SAMPLES} samples to classify, got {len(eps)}")
     eps_w = eps[-window:]
     vals_w = vals[-window:]
     if len(eps_w) < 4:
         raise TooFewSamplesError(f"window too small: {len(eps_w)}")
 
-    re_fit = _fit_channel(eps_w, vals_w.real)
-    im_fit = _fit_channel(eps_w, vals_w.imag)
+    joint_scale = float(np.max(np.abs(vals_w)))
+    re_fit = _fit_channel(eps_w, vals_w.real, joint_scale)
+    im_fit = _fit_channel(eps_w, vals_w.imag, joint_scale)
 
     severity = {POWER_DIVERGENT: 3, LOG_DIVERGENT: 2, UNDETERMINED: 1,
                 CONVERGENT: 0}

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (I_PLUS_LOG_LIMIT, II_LIMIT_CLAIMED, II_LIMIT_DERIVED,
-                          classify_bc_existence, closed_form_I, closed_form_II,
-                          closed_form_segment, fit_as_dict, fit_models,
-                          integrand_II, richardson_limit, verify_antiderivatives)
+                          MIN_FIT_SAMPLES, classify_bc_existence, closed_form_I,
+                          closed_form_II, closed_form_segment, fit_as_dict,
+                          fit_models, integrand_II, richardson_limit,
+                          verify_antiderivatives)
 from .errors import (BudgetExceededError, FormNotClosedError, GeometryError,
                      HolobcError, NoOutwardVectorError, ScenarioError)
 from .functions import estimate_growth
@@ -164,13 +165,16 @@ def cmd_classify(args) -> int:
 # -- pair / asymptotics -------------------------------------------------------
 
 def _run_sequences(scenario, args, write_csv: bool):
+    schedule = build_schedule(scenario, eps0=args.eps0, ratio=args.ratio,
+                              steps=args.steps)
+    if schedule.steps < MIN_FIT_SAMPLES:
+        raise ScenarioError(f"the fit needs at least {MIN_FIT_SAMPLES} "
+                            f"schedule steps, got {schedule.steps}")
+    spec = build_quadrature(scenario, rel_tol=args.tol)
     domain = _prepared_domain(scenario)
     f = _require_function(scenario)
     forms = _require_forms(scenario)
     cover = build_cover(scenario, domain)
-    schedule = build_schedule(scenario, eps0=args.eps0, ratio=args.ratio,
-                              steps=args.steps)
-    spec = build_quadrature(scenario, rel_tol=args.tol)
 
     out_dir = args.out
     results = []
@@ -242,9 +246,9 @@ def cmd_pair(args) -> int:
 def cmd_asymptotics(args) -> int:
     if args.csv is not None:
         rows = read_pairing_csv(Path(args.csv))
-        if len(rows) < 4:
+        if len(rows) < MIN_FIT_SAMPLES:
             raise ScenarioError(f"CSV {args.csv!r} holds {len(rows)} samples; "
-                                "need at least 4 to fit")
+                                f"need at least {MIN_FIT_SAMPLES} to fit")
         fit = fit_models([(eps, val) for eps, val, _ in rows])
         report = {
             "command": "asymptotics",

@@ -1044,13 +1044,44 @@ class TranslationChart:
 
 @dataclass
 class ChartCover:
+    """Translation charts whose raw bumps, normalized pointwise, sum to one.
+
+    Each chart's raw weight is a product of shared weight factors:
+    ``chart_factors[i]`` lists the indices into ``factors`` whose product, in
+    that order, is ``charts[i].weight``.  A one-variable chart has one factor,
+    its own bump.  A product chart has two, the profiles of z1 and z2, and
+    most of them recur across charts (the 48 charts of a bidisc share 14
+    factors).  ``raw_weights`` and ``partition_weight`` evaluate every factor
+    once per call and sum the chart products in chart order, so the result is
+    the same floats as evaluating each chart's ``weight`` on its own.  Left
+    empty, the factors default to the charts' own weights.
+    """
+
     domain: PiecewiseDomain
     charts: tuple[TranslationChart, ...]
     coverage_floor: float = 0.0   # min of summed raw bumps over checked samples
     partition_defect: float = 0.0
+    factors: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+    chart_factors: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self):
+        if not self.factors:
+            self.factors = tuple(c.weight for c in self.charts)
+            self.chart_factors = tuple((i,) for i in range(len(self.charts)))
+
+    def _chart_weights(self, z: np.ndarray) -> list[np.ndarray]:
+        """Every chart's raw weight at z, each factor evaluated once."""
+        values = [factor(z) for factor in self.factors]
+        weights = []
+        for indices in self.chart_factors:
+            w = values[indices[0]]
+            for k in indices[1:]:
+                w = w * values[k]
+            weights.append(w)
+        return weights
 
     def raw_weights(self, z: np.ndarray) -> np.ndarray:
-        return np.stack([c.weight(z) for c in self.charts])
+        return np.stack(self._chart_weights(z))
 
     def partition_weight(self, index: int, z: np.ndarray) -> np.ndarray:
         """Normalized partition weight of one chart; zero off its support."""
@@ -1061,8 +1092,8 @@ class ChartCover:
             return out
         zs = z[hot]
         total = np.zeros(len(zs))
-        for c in self.charts:
-            total += c.weight(zs)
+        for w in self._chart_weights(zs):
+            total += w
         out[hot] = own[hot] / total
         return out
 
@@ -1320,29 +1351,37 @@ def _cover_product(domain, radius, strip_overlap, arcs_per_circle,
     tiles1 = f1.boundary_tiles(radius, strip_overlap, arcs_per_circle, rotation)
     int0, c0, r0 = f0.interior_profile(radius)
     int1, c1, r1 = f1.interior_profile(radius)
+    # shared weight factors on C^2: tiles and interior profile of each variable
+    factors = ([lambda z, p=t.profile: p(z[..., 0]) for t in tiles0]
+               + [lambda z: int0(z[..., 0])]
+               + [lambda z, p=t.profile: p(z[..., 1]) for t in tiles1]
+               + [lambda z: int1(z[..., 1])])
+    i_int0 = len(tiles0)
+    i_tiles1 = i_int0 + 1
+    i_int1 = i_tiles1 + len(tiles1)
     charts: list[TranslationChart] = []
-    for t in tiles0:  # factor-0 boundary x factor-1 interior
-        charts.append(TranslationChart(
-            SupportBall(np.array([t.center, c1]), float(np.hypot(t.radius, r1)) + 1e-9),
-            np.array([t.v, 0.0], complex),
-            lambda z, t=t: t.profile(z[..., 0]) * int1(z[..., 1]),
-            f"f0:{t.label}"))
-    for t in tiles1:
-        charts.append(TranslationChart(
-            SupportBall(np.array([c0, t.center]), float(np.hypot(r0, t.radius)) + 1e-9),
-            np.array([0.0, t.v], complex),
-            lambda z, t=t: int0(z[..., 0]) * t.profile(z[..., 1]),
-            f"f1:{t.label}"))
+    chart_factors: list[tuple[int, int]] = []
+
+    def add(region, v, a, b, label):
+        fa, fb = factors[a], factors[b]
+        charts.append(TranslationChart(region, v, lambda z: fa(z) * fb(z), label))
+        chart_factors.append((a, b))
+
+    for i, t in enumerate(tiles0):  # factor-0 boundary x factor-1 interior
+        add(SupportBall(np.array([t.center, c1]), float(np.hypot(t.radius, r1)) + 1e-9),
+            np.array([t.v, 0.0], complex), i, i_int1, f"f0:{t.label}")
+    for j, t in enumerate(tiles1):
+        add(SupportBall(np.array([c0, t.center]), float(np.hypot(r0, t.radius)) + 1e-9),
+            np.array([0.0, t.v], complex), i_int0, i_tiles1 + j, f"f1:{t.label}")
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for ta in tiles0:
-        for tb in tiles1:
-            charts.append(TranslationChart(
-                SupportBall(np.array([ta.center, tb.center]),
-                            float(np.hypot(ta.radius, tb.radius)) + 1e-9),
+    for i, ta in enumerate(tiles0):
+        for j, tb in enumerate(tiles1):
+            add(SupportBall(np.array([ta.center, tb.center]),
+                              float(np.hypot(ta.radius, tb.radius)) + 1e-9),
                 np.array([ta.v * inv_sqrt2, tb.v * inv_sqrt2], complex),
-                lambda z, ta=ta, tb=tb: ta.profile(z[..., 0]) * tb.profile(z[..., 1]),
-                f"edge:{ta.label}x{tb.label}"))
-    return ChartCover(domain, tuple(charts))
+                i, i_tiles1 + j, f"edge:{ta.label}x{tb.label}")
+    return ChartCover(domain, tuple(charts), factors=tuple(factors),
+                      chart_factors=tuple(chart_factors))
 
 
 def _check_cover(domain: PiecewiseDomain, cover: ChartCover, radius: float) -> None:

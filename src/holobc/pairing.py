@@ -404,8 +404,8 @@ class PairingSchedule:
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
             raise ScenarioError(f"ratio must be in (0, 1), got {self.ratio}")
-        if self.eps0 <= 0.0:
-            raise ScenarioError(f"eps0 must be positive, got {self.eps0}")
+        if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
+            raise ScenarioError(f"eps0 must be positive and finite, got {self.eps0}")
         if self.steps < 1:
             raise ScenarioError(f"steps must be >= 1, got {self.steps}")
 

@@ -385,11 +385,14 @@ def build_schedule(scenario: Scenario, eps0: float | None = None,
 def build_quadrature(scenario: Scenario,
                      rel_tol: float | None = None) -> QuadratureSpec:
     quad = scenario.quadrature
-    return QuadratureSpec(
-        rel_tol=quad["rel_tol"] if rel_tol is None else rel_tol,
-        abs_tol=quad["abs_tol"],
-        max_subdivisions=quad["max_subdivisions"],
-        corner_refine_depth=quad["corner_refine_depth"])
+    try:
+        return QuadratureSpec(
+            rel_tol=quad["rel_tol"] if rel_tol is None else rel_tol,
+            abs_tol=quad["abs_tol"],
+            max_subdivisions=quad["max_subdivisions"],
+            corner_refine_depth=quad["corner_refine_depth"])
+    except ValueError as err:
+        raise ScenarioError(f"quadrature: {err}") from err
 
 
 def build_cover(scenario: Scenario, domain: PiecewiseDomain,

@@ -61,6 +61,19 @@ def test_noise_is_undetermined():
     assert fit.classification == UNDETERMINED
 
 
+@pytest.mark.parametrize("a", [1e-6, 3.27])
+def test_channel_vanishing_like_eps_is_judged_against_max_abs_f(a):
+    # Im F -> 0 like a*eps: the constant fit of Im misses by far more than
+    # 5% of max|Im F|, yet by far less than 5% of max|F|
+    c = 3.46402834844
+    fit = fit_models(synth(lambda e: c + 1j * a * e))
+    assert fit.channels["im"].model == "CONST"
+    assert fit.channels["im"].classification == CONVERGENT
+    assert fit.classification == CONVERGENT
+    assert classify_bc_existence([fit]) == EXISTS_NUMERICALLY
+    assert abs(fit.limit - c) < 1e-12 * c
+
+
 def test_existence_summary():
     good = fit_models(synth(lambda e: 2.0 + e))
     bad = fit_models(synth(lambda e: np.log(e)))

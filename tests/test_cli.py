@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from holobc import cli
 from holobc.cli import main
 
 SQUARE_PIECES = [
@@ -132,6 +133,30 @@ def test_exit_2_on_resolution_below_one(capsys, resolution):
     assert main(["classify", "--scenario", "square",
                  "--resolution", resolution]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["pair", "asymptotics"])
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "0"), ("--tol", "nan"), ("--eps0", "nan"), ("--eps0", "inf"),
+    ("--eps0", "-0.1"), ("--steps", "3"),
+])
+def test_exit_2_on_bad_schedule_or_tolerance_flag(capsys, monkeypatch,
+                                                  command, flag, value):
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("a pairing ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "pairing_sequence", no_pairing)
+    monkeypatch.setattr(cli, "build_cover", no_pairing)
+    assert main([command, "--scenario", "square_f=1", flag, value]) == 2
+    assert "scenario error" in capsys.readouterr().err
+
+
+def test_exit_2_on_csv_too_short_to_fit(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("epsilon,re,im,err_est\n"
+                    + "".join(f"{0.1 * 0.5 ** k},1,0,0\n" for k in range(5)))
+    assert main(["asymptotics", "--csv", str(path)]) == 2
+    assert "scenario error" in capsys.readouterr().err
 
 
 def test_exit_3_on_bad_geometry(tmp_path, capsys):

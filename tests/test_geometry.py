@@ -219,3 +219,65 @@ def test_bidisc_cover_tiles_both_factors(bidisc_domain):
     for i in range(len(cover.charts)):
         total += cover.partition_weight(i, pts)
     assert np.max(np.abs(total - 1.0)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def bidisc_cover(bidisc_domain):
+    return build_chart_cover(bidisc_domain, [])
+
+
+def near_boundary_points(domain, per_axis, offset):
+    """Boundary samples and copies pushed out and in along the unit normal."""
+    pts, owners = domain.boundary_samples(per_axis=per_axis)
+    layers = [pts]
+    for off in (offset, -offset):
+        moved = pts.copy()
+        for j, piece in enumerate(domain.pieces):
+            mine = owners == j
+            g = piece.grad_rho(pts[mine])
+            g = g / np.linalg.norm(g, axis=-1, keepdims=True)
+            moved[mine] += off * (g[:, 0::2] + 1j * g[:, 1::2])
+        layers.append(moved)
+    return np.concatenate(layers)
+
+
+@pytest.mark.parametrize("which", ["square", "bidisc"])
+def test_shared_factor_weights_match_per_chart_evaluation(request, which):
+    domain = request.getfixturevalue(f"{which}_domain")
+    cover = request.getfixturevalue(f"{which}_cover")
+    z = near_boundary_points(domain, 96 if which == "square" else 512,
+                             0.035)
+    weights = [chart.weight(z) for chart in cover.charts]
+    assert np.array_equal(cover.raw_weights(z), np.stack(weights))
+    for i, (chart, indices) in enumerate(zip(cover.charts,
+                                             cover.chart_factors)):
+        product = cover.factors[indices[0]](z)
+        for k in indices[1:]:
+            product = product * cover.factors[k](z)
+        assert np.array_equal(weights[i], product)
+
+        hot = weights[i] > 0.0
+        total = np.zeros(np.count_nonzero(hot))
+        for other in cover.charts:
+            total += other.weight(z[hot])
+        expected = np.zeros(len(z))
+        expected[hot] = weights[i][hot] / total
+        assert np.array_equal(cover.partition_weight(i, z), expected)
+
+
+def test_bidisc_chart_weights_are_tile_products(bidisc_domain, bidisc_cover):
+    # each product chart is (tile or interior of z1) x (tile or interior of
+    # z2), in the order the cover lists them
+    f0, f1 = bidisc_domain.product_factors
+    tiles0 = f0.boundary_tiles(0.3, 0.2, 6)
+    tiles1 = f1.boundary_tiles(0.3, 0.2, 6)
+    int0 = f0.interior_profile(0.3)[0]
+    int1 = f1.interior_profile(0.3)[0]
+    pairs = ([(t.profile, int1) for t in tiles0]
+             + [(int0, t.profile) for t in tiles1]
+             + [(a.profile, b.profile) for a in tiles0 for b in tiles1])
+    assert len(bidisc_cover.charts) == len(pairs) == 48
+    assert len(bidisc_cover.factors) == 14
+    z = near_boundary_points(bidisc_domain, 512, 0.035)
+    for chart, (p0, p1) in zip(bidisc_cover.charts, pairs):
+        assert np.array_equal(chart.weight(z), p0(z[:, 0]) * p1(z[:, 1]))
