@@ -12,9 +12,9 @@ from .asymptotics import (AsymptoticFit, ChannelFit, classify_bc_existence,
                           closed_form_I, closed_form_II, closed_form_segment,
                           fit_models, richardson_limit, verify_antiderivatives)
 from .errors import (BudgetExceededError, FormNotClosedError, GeometryError,
-                     HolobcError, NoOutwardVectorError, NotL1Error,
-                     OutsideDomainError, PoleInsideError, PoleOnBoundaryError,
-                     ScenarioError, TooFewSamplesError)
+                     HolobcError, NoOutwardVectorError, NonFiniteIntegrandError,
+                     NotL1Error, OutsideDomainError, PoleInsideError,
+                     PoleOnBoundaryError, ScenarioError, TooFewSamplesError)
 from .functions import (GrowthEstimate, HolomorphicFunction, check_holomorphic,
                         estimate_growth, pole_status, rational_function)
 from .geometry import (ChartCover, CornerStratum, PiecewiseDomain, SmoothPiece,
@@ -36,10 +36,10 @@ __all__ = [
     "AsymptoticFit", "BudgetExceededError", "ChannelFit", "ChartCover",
     "CornerStratum", "FaceDistribution", "FormNotClosedError", "GeometryError",
     "GrowthEstimate", "HolobcError", "HolomorphicFunction", "IntegralResult",
-    "NoOutwardVectorError", "NotL1Error", "OutsideDomainError",
-    "PairingSample", "PairingSchedule", "PiecewiseDomain", "PoleInsideError",
-    "PoleOnBoundaryError", "QuadratureSpec", "RadialCutoff", "Scenario",
-    "ScenarioError", "SmoothPiece", "SpecialPoint", "StratumVerdict",
+    "NoOutwardVectorError", "NonFiniteIntegrandError", "NotL1Error",
+    "OutsideDomainError", "PairingSample", "PairingSchedule", "PiecewiseDomain",
+    "PoleInsideError", "PoleOnBoundaryError", "QuadratureSpec", "RadialCutoff",
+    "Scenario", "ScenarioError", "SmoothPiece", "SpecialPoint", "StratumVerdict",
     "TestForm", "TooFewSamplesError", "TranslationChart", "WeinstockReport",
     "__version__", "build_chart_cover", "check_form", "check_holomorphic",
     "classify_bc_existence", "classify_stratum", "closed_form_I",

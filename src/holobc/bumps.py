@@ -22,11 +22,15 @@ __all__ = [
 def smoothstep(t: np.ndarray) -> np.ndarray:
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    tc = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(tc > 0.0, np.exp(-1.0 / np.maximum(tc, 1e-300)), 0.0)
-        b = np.where(tc < 1.0, np.exp(-1.0 / np.maximum(1.0 - tc, 1e-300)), 0.0)
-    return a / (a + b)
+    # exp only inside the transition band; a NaN passes through as NaN
+    out = np.where(t <= 0.0, 0.0, np.minimum(t, 1.0))
+    band = (out > 0.0) & (out < 1.0)
+    tb = out[band]
+    with np.errstate(over="ignore"):
+        a = np.exp(-1.0 / tb)
+        b = np.exp(-1.0 / (1.0 - tb))
+    out[band] = a / (a + b)
+    return out
 
 
 def smoothstep_derivative(t: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ print one JSON report with stable key order to stdout.  CSV files and report
 copies land in --out.  Exit codes: 0 success, 2 scenario config error,
 3 geometry validation error, 4 no admissible translation direction,
 5 quadrature budget exhausted (partial CSV still written), 6 orthogonality
-test failed or a test form was not closed, 7 growth estimation failed.
+test failed or a test form was not closed, 7 growth estimation failed,
+8 an integrand returned a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .asymptotics import (I_PLUS_LOG_LIMIT, II_LIMIT_CLAIMED, II_LIMIT_DERIVED,
                           fit_models, integrand_II, richardson_limit,
                           verify_antiderivatives)
 from .errors import (BudgetExceededError, FormNotClosedError, GeometryError,
-                     HolobcError, NoOutwardVectorError, ScenarioError)
+                     HolobcError, NonFiniteIntegrandError, NoOutwardVectorError,
+                     NotL1Error, PoleOnBoundaryError, ScenarioError)
 from .functions import estimate_growth
 from .geometry import classify_stratum, locate_strata, validate_domain
 from .pairing import pairing_sequence, stokes_oracle, weinstock_test
@@ -41,6 +43,7 @@ EXIT_NO_OUTWARD = 4
 EXIT_BUDGET = 5
 EXIT_WEINSTOCK = 6
 EXIT_GROWTH = 7
+EXIT_NON_FINITE = 8
 
 
 class CommandFailure(HolobcError):
@@ -85,12 +88,22 @@ def pairing_csv_text(samples, scenario_name: str, form_label: str) -> str:
 
 
 def read_pairing_csv(path: Path) -> list[tuple[float, complex, float]]:
+    """Rows of a pairing CSV; a file that cannot be read or parsed raises
+    ScenarioError."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScenarioError(f"cannot read CSV {str(path)!r}: {err}") from err
     rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("epsilon"):
             continue
-        eps, re, im, err = (float(tok) for tok in line.split(","))
+        try:
+            eps, re, im, err = (float(tok) for tok in line.split(","))
+        except ValueError as exc:
+            raise ScenarioError(
+                f"CSV {str(path)!r} has a malformed row {line!r}") from exc
         rows.append((eps, complex(re, im), err))
     return rows
 
@@ -202,7 +215,7 @@ def _run_sequences(scenario, args, write_csv: bool):
         fit = fit_models(samples)
         try:
             oracle = stokes_oracle(domain, f, psi, spec)
-        except HolobcError:
+        except NotL1Error:
             # f is not integrable (or its volume integral did not settle), so
             # the pairing has no Stokes oracle
             oracle = None
@@ -546,6 +559,10 @@ def main(argv=None) -> int:
     except ScenarioError as err:
         print(f"holobc: scenario error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except PoleOnBoundaryError as err:
+        # the schedule translated a pole onto the supported boundary
+        print(f"holobc: configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except NoOutwardVectorError as err:
         print(f"holobc: no admissible translation direction: {err}",
               file=sys.stderr)
@@ -559,6 +576,9 @@ def main(argv=None) -> int:
     except FormNotClosedError as err:
         print(f"holobc: test form is not closed: {err}", file=sys.stderr)
         return EXIT_WEINSTOCK
+    except NonFiniteIntegrandError as err:
+        print(f"holobc: non-finite integrand: {err}", file=sys.stderr)
+        return EXIT_NON_FINITE
 
 
 if __name__ == "__main__":

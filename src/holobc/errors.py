@@ -70,3 +70,9 @@ class BudgetExceededError(HolobcError):
     """A computation exhausted its cell budget before converging."""
 
     code = "BUDGET_EXCEEDED"
+
+
+class NonFiniteIntegrandError(HolobcError):
+    """An integrand returned a NaN or an infinity inside an integration box."""
+
+    code = "NON_FINITE_INTEGRAND"

@@ -1069,33 +1069,34 @@ class ChartCover:
             self.factors = tuple(c.weight for c in self.charts)
             self.chart_factors = tuple((i,) for i in range(len(self.charts)))
 
-    def _chart_weights(self, z: np.ndarray) -> list[np.ndarray]:
-        """Every chart's raw weight at z, each factor evaluated once."""
+    def _chart_weights(self, z: np.ndarray):
+        """Every chart's raw weight at z in chart order, each factor
+        evaluated once."""
         values = [factor(z) for factor in self.factors]
-        weights = []
         for indices in self.chart_factors:
             w = values[indices[0]]
             for k in indices[1:]:
                 w = w * values[k]
-            weights.append(w)
-        return weights
+            yield w
 
     def raw_weights(self, z: np.ndarray) -> np.ndarray:
-        return np.stack(self._chart_weights(z))
+        return np.stack(list(self._chart_weights(z)))
 
-    def partition_weight(self, index: int, z: np.ndarray) -> np.ndarray:
-        """Normalized partition weight of one chart; zero off its support."""
-        own = self.charts[index].weight(z)
-        out = np.zeros_like(own)
-        hot = own > 0.0
-        if not np.any(hot):
-            return out
-        zs = z[hot]
-        total = np.zeros(len(zs))
-        for w in self._chart_weights(zs):
+    def partition_weight(self, index, z: np.ndarray) -> np.ndarray:
+        """Normalized partition weights, zero off each chart's support.
+
+        ``index`` is one chart index, giving (m,) weights, or a sequence of
+        chart indices, giving (m, len(index)) weights in that order.
+        """
+        indices = np.atleast_1d(np.asarray(index, dtype=int))
+        own = np.empty((len(indices), len(z)))   # chart-major: rows are contiguous
+        total = np.zeros(len(z))
+        for i, w in enumerate(self._chart_weights(z)):
             total += w
-        out[hot] = own[hot] / total
-        return out
+            own[indices == i] = w
+        # own is 0 wherever total is, so those points keep weight 0
+        np.divide(own, np.where(total > 0.0, total, 1.0), out=own)
+        return own[0] if np.ndim(index) == 0 else own.T
 
 
 def _fine_boundary_grid(domain: PiecewiseDomain) -> tuple[np.ndarray, np.ndarray]:
@@ -1412,9 +1413,7 @@ def _check_cover(domain: PiecewiseDomain, cover: ChartCover, radius: float) -> N
     if floor <= 1e-9:
         raise GeometryError(f"chart cover leaves the boundary uncovered (floor {floor:.2e})")
     # exercise the normalized-weight path the pairing uses
-    partition = np.zeros(len(probe))
-    for i in range(len(cover.charts)):
-        partition += cover.partition_weight(i, probe)
+    partition = cover.partition_weight(range(len(cover.charts)), probe).sum(axis=1)
     defect = float(np.max(np.abs(partition - 1.0)))
     cover.coverage_floor = floor
     cover.partition_defect = defect

@@ -89,14 +89,23 @@ class TestForm:
         return self.degree[0]
 
     def face_density(self, z: np.ndarray, frame: np.ndarray) -> np.ndarray:
-        """Pullback density of the form along a boundary patch frame."""
+        """Pullback density of the form along a boundary patch frame.
+
+        For n = 2 the coefficient g_k multiplies the 3x3 determinant with
+        rows dz1, dz2 and conj(dz_k) of the frame, expanded by cofactors
+        along its last row: det = conj(dz_k) . (dz1 x dz2).
+        """
         if self.ambient_dim == 1:
             return self.coefficients[0](z) * frame[:, 0, 0]
+        a, b = frame[:, 0, :], frame[:, 1, :]
+        cofactors = (a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                     a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                     a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
         total = np.zeros(len(z), dtype=np.complex128)
         for k, g in enumerate(self.coefficients):
-            rows = np.stack([frame[:, 0, :], frame[:, 1, :],
-                             np.conj(frame[:, k, :])], axis=1)
-            total += g(z) * np.linalg.det(rows)
+            row = np.conj(frame[:, k, :])
+            total += g(z) * (row[:, 0] * cofactors[0] + row[:, 1] * cofactors[1]
+                             + row[:, 2] * cofactors[2])
         return total
 
     def dbar_volume_density(self, z: np.ndarray) -> np.ndarray:
@@ -325,16 +334,47 @@ def _chart_specials(f: HolomorphicFunction, chart: TranslationChart,
     return specials
 
 
+def _translated_density(cover: ChartCover, charts: Sequence[int],
+                        f: HolomorphicFunction, psi: TestForm,
+                        shifts: np.ndarray):
+    """Face density (m, K) of the translated pairing, one column per chart:
+    chi_i(z) f(z - shift_i) times the pullback of psi."""
+
+    def density(z, frame):
+        w = cover.partition_weight(charts, z)
+        out = np.zeros(w.shape, dtype=np.complex128)
+        # f is evaluated only at (point, chart) pairs of positive weight, so
+        # a (possibly singular) f never blows up where a weight vanishes
+        pts, cols = np.nonzero(w > 0.0)
+        if len(pts) == 0:
+            return out
+        first = np.empty(len(pts), dtype=bool)
+        first[0] = True
+        np.not_equal(pts[1:], pts[:-1], out=first[1:])
+        rows = pts[first]                    # points with a positive weight
+        face = psi.face_density(z[rows], frame[rows])
+        out[pts, cols] = (w[pts, cols] * f(z[pts] - shifts[cols])
+                          * face[np.cumsum(first) - 1])
+        return out
+
+    return density
+
+
 def pairing_at_epsilon(domain: PiecewiseDomain, f: HolomorphicFunction,
                        psi: TestForm, cover: ChartCover, eps: float,
                        spec: QuadratureSpec | None = None,
-                       guard_pts: np.ndarray | None = None,
-                       diagnostics: list | None = None) -> PairingSample:
+                       guard_pts: np.ndarray | None = None) -> PairingSample:
     """Evaluate F(eps) = sum_i int_bdry f(z - eps v_i) chi_i psi.
 
-    Per-chart contributions are integrated patch by patch, restricted to the
-    patches whose extent meets both the chart support and the form support,
-    and summed in a fixed order so repeated runs agree bitwise.
+    Each boundary patch whose extent meets the form support is integrated
+    once, with one integrand component per chart whose region meets the
+    patch; the components share one adaptive subdivision, and each batch
+    evaluates the cover, the frame and the pullback of psi once per point
+    and f once per (point, chart) pair of positive weight.  A chart's
+    contribution is its component summed over patches in a fixed order, so
+    repeated runs agree bitwise; its ``cells_used`` counts the cells of the
+    patch subdivisions it took part in, and the sample's ``cells_used``
+    counts every patch subdivision once.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -345,50 +385,46 @@ def pairing_at_epsilon(domain: PiecewiseDomain, f: HolomorphicFunction,
     if guard_pts is None and domain.ambient_dim == 2 and f.pole_locus:
         guard_pts, _ = domain.boundary_samples(per_axis=4_000)
 
-    extents = [(_patch_extent(p), p) for p in _boundary_patches(domain)]
-    contributions = []
-    for index, chart in enumerate(cover.charts):
+    charts = cover.charts
+    for chart in charts:
         if chart.margin is not None and chart.margin <= 0:
             raise ScenarioError(f"chart {chart.label!r} has nonpositive margin")
         _translated_pole_guard(domain, f, chart, eps, guard_pts)
-        shift = eps * chart.v
-        specials = _chart_specials(f, chart, eps, domain.ambient_dim)
-
-        def density(z, frame, shift=shift, index=index):
-            w = cover.partition_weight(index, z)
-            out = np.zeros(len(z), dtype=np.complex128)
-            # f is evaluated only where the weight is positive, so a
-            # (possibly singular) f never blows up where the weight vanishes
-            hot = w > 0.0
-            if np.any(hot):
-                zh = z[hot]
-                out[hot] = (w[hot] * f(zh - shift)
-                            * psi.face_density(zh, frame[hot]))
-            return out
-
-        parts = []
-        for (center, radius), patch in extents:
-            if not chart.region.might_contain(center, radius):
-                continue
-            if psi.support is not None and not psi.support.might_contain(center, radius):
-                continue
-            parts.append(integrate_face(patch, density, spec, specials,
-                                        diagnostics=diagnostics))
-        total = combine_results(parts)
-        if not total.converged:
+    shifts = eps * np.array([chart.v for chart in charts])
+    values = np.zeros(len(charts), dtype=np.complex128)
+    errs = np.zeros(len(charts))
+    chart_cells = np.zeros(len(charts), dtype=int)
+    cells = 0
+    for patch in _boundary_patches(domain):
+        center, radius = _patch_extent(patch)
+        if psi.support is not None and not psi.support.might_contain(center, radius):
+            continue
+        meet = [i for i, chart in enumerate(charts)
+                if chart.region.might_contain(center, radius)]
+        if not meet:
+            continue
+        specials = [s for i in meet
+                    for s in _chart_specials(f, charts[i], eps, domain.ambient_dim)]
+        result = integrate_face(
+            patch, _translated_density(cover, meet, f, psi, shifts[meet]),
+            spec, specials)
+        if not result.converged:
             raise BudgetExceededError(
-                f"chart {chart.label!r} quadrature did not converge at "
-                f"eps={eps:.3e} (err {total.err_est:.2e}, "
-                f"{total.cells_used} cells)")
-        contributions.append(ChartContribution(chart.label, total.value,
-                                               total.err_est, total.cells_used))
+                f"patch {patch.label!r} of piece {patch.owner} quadrature did "
+                f"not converge at eps={eps:.3e} (err "
+                f"{float(np.sum(result.err_est)):.2e}, {result.cells_used} cells)")
+        values[meet] += result.value
+        errs[meet] += result.err_est
+        chart_cells[meet] += result.cells_used
+        cells += result.cells_used
 
-    value = complex(math.fsum(c.value.real for c in contributions),
-                    math.fsum(c.value.imag for c in contributions))
-    err = math.fsum(c.err_est for c in contributions)
-    cells = sum(c.cells_used for c in contributions)
-    return PairingSample(float(eps), value, float(err),
-                         tuple(contributions), cells)
+    contributions = tuple(
+        ChartContribution(chart.label, complex(values[i]), float(errs[i]),
+                          int(chart_cells[i]))
+        for i, chart in enumerate(charts))
+    value = complex(math.fsum(values.real), math.fsum(values.imag))
+    return PairingSample(float(eps), value, float(math.fsum(errs)),
+                         contributions, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -556,18 +592,16 @@ def face_restrictions(domain: PiecewiseDomain,
 def face_distribution_pairing(domain: PiecewiseDomain,
                               distributions: Sequence[FaceDistribution],
                               psi: TestForm,
-                              spec: QuadratureSpec | None = None,
-                              diagnostics: list | None = None) -> complex:
+                              spec: QuadratureSpec | None = None) -> complex:
     """Sum over faces of int alpha_j * (pullback of psi) on the active part."""
     if spec is None:
         spec = QuadratureSpec()
-    return _face_pairing(domain, distributions, psi, spec, diagnostics).value
+    return _face_pairing(domain, distributions, psi, spec).value
 
 
 def _face_pairing(domain: PiecewiseDomain,
                   distributions: Sequence[FaceDistribution], psi: TestForm,
-                  spec: QuadratureSpec,
-                  diagnostics: list | None = None) -> IntegralResult:
+                  spec: QuadratureSpec) -> IntegralResult:
     parts = []
     for dist in distributions:
         if not (0 <= dist.face_index < len(domain.pieces)):
@@ -582,8 +616,7 @@ def _face_pairing(domain: PiecewiseDomain,
                     vals = np.where(dist.support_mask(z), vals, 0.0)
                 return vals
 
-            parts.append(integrate_face(patch, density, spec,
-                                        diagnostics=diagnostics))
+            parts.append(integrate_face(patch, density, spec))
     return combine_results(parts)
 
 

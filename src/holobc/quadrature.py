@@ -4,7 +4,11 @@ The same engine drives 1d boundary integrals (curves in C), 3d boundary
 integrals (hypersurface patches in C^2) and 2d/4d volume integrals.  Each
 cell is evaluated with the 15-point Kronrod rule per axis; the embedded
 7-point Gauss rule provides the error estimate and per-axis mixed
-contractions pick the split axis at no extra integrand cost.
+contractions pick the split axis at no extra integrand cost.  An integrand
+may return a vector of values per point; its components then share one
+subdivision (vector-valued adaptive cubature in the manner of Genz & Malik
+1980 and DCUHRE).  A NaN or infinite integrand value raises
+NonFiniteIntegrandError instead of being dropped.
 
 Determinism: cells carry a creation index used to break priority ties, the
 refinement loop is single-threaded, and the final value is a sum over leaf
@@ -13,13 +17,14 @@ bit-identical results.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, NonFiniteIntegrandError
 
 __all__ = [
     "QuadratureSpec",
@@ -80,8 +85,15 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: complex
-    err_est: float
+    """Result of one adaptive integration.
+
+    For a scalar integrand ``value`` is complex and ``err_est`` a float; for
+    a vector integrand with K components both are (K,) arrays, one entry per
+    component, and ``cells_used`` counts the cells of the shared subdivision.
+    """
+
+    value: complex | np.ndarray
+    err_est: float | np.ndarray
     cells_used: int
     converged: bool
 
@@ -99,55 +111,89 @@ class SpecialPoint:
     radius: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Cell:
     box: tuple[tuple[float, float], ...]
     index: int
-    value: complex = 0.0
-    err: float = 0.0
-    axis_err: tuple[float, ...] = ()
+    err: float = 0.0      # error estimate, summed over components
+    axis: int = 0         # split axis
+    batch: int = 0        # the integrand batch that evaluated the cell,
+    row: int = 0          # and the cell's row in it
 
 
-def _cell_nodes(box: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Tensor Kronrod nodes for one cell, shape (15**d, d)."""
-    axes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * XGK for lo, hi in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+_KRONROD_GAUSS = np.stack([WGK, WG_EMBEDDED])   # (2, 15)
 
 
-def _contract(values: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
-    # values has shape (batch, 15, ..., 15); contract trailing axes in order
-    out = values
-    for w in weights:
-        out = np.tensordot(out, w, axes=(1, 0))
-    return out
+@functools.cache
+def _reference_nodes(dim: int) -> np.ndarray:
+    """Tensor Kronrod nodes (15**d, d) on [-1, 1]^d in meshgrid "ij" order,
+    shared by every call."""
+    grids = np.meshgrid(*[XGK] * dim, indexing="ij")
+    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _contract(values: np.ndarray, dim: int) -> np.ndarray:
+    """Every tensor product of the Kronrod and Gauss rules, one axis at a
+    time: (N, 15**d, C) -> (N, 2**d, C).  Bit d-1-a of the middle index
+    selects the Gauss rule on axis a, so 0 is the tensor Kronrod rule and
+    2**d - 1 the tensor Gauss rule.  Each step reduces over just 15 nodes,
+    which keeps the result independent of the BLAS thread count; one matmul
+    reducing over all 15**d nodes at once is not."""
+    n = len(values)
+    out = values.reshape(n, 15, -1)
+    for a in range(dim):
+        out = np.matmul(_KRONROD_GAUSS, out)              # (M, 2, rest)
+        if a < dim - 1:
+            out = out.reshape(-1, 15, out.shape[-1] // 15)
+    return out.reshape(n, 2 ** dim, -1)
 
 
 def _evaluate_cells(cells: list[_Cell], dim: int,
-                    eval_fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Fill value / err / axis_err for a batch of cells with one integrand call."""
-    n_nodes = 15 ** dim
-    params = np.concatenate([_cell_nodes(c.box) for c in cells], axis=0)
-    raw = np.asarray(eval_fn(params), dtype=np.complex128)
-    raw = np.nan_to_num(raw, nan=0.0, posinf=0.0, neginf=0.0)
-    values = raw.reshape((len(cells),) + (15,) * dim)
-    scales = np.array([np.prod([0.5 * (hi - lo) for lo, hi in c.box]) for c in cells])
-
-    kron = _contract(values, [WGK] * dim) * scales
-    gauss = _contract(values, [WG_EMBEDDED] * dim) * scales
-    errs = np.abs(kron - gauss)
-    axis_errs = np.empty((len(cells), dim))
-    for a in range(dim):
-        weights = [WGK] * dim
-        weights[a] = WG_EMBEDDED
-        mixed = _contract(values, weights) * scales
-        axis_errs[:, a] = np.abs(kron - mixed)
-    errs = np.maximum(errs, axis_errs.max(axis=1))
-
+                    eval_fn: Callable[[np.ndarray], np.ndarray],
+                    box: tuple[tuple[float, float], ...],
+                    batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a batch of cells with one integrand call and fill each
+    cell's err / axis / batch / row.  Returns the cells' Kronrod values and
+    per-component error estimates, (N,) for a scalar integrand and (N, K)
+    for a vector one.  Raises NonFiniteIntegrandError, naming ``box`` and
+    the cell, when the integrand returns a NaN or an infinity."""
+    nodes = _reference_nodes(dim)
+    bounds = np.array([c.box for c in cells])            # (N, d, 2)
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    half = 0.5 * (hi - lo)
+    center = 0.5 * (lo + hi)
+    params = (center[:, None, :] + half[:, None, :] * nodes).reshape(-1, dim)
+    raw = np.ascontiguousarray(eval_fn(params), dtype=np.complex128)
+    values = raw.reshape(len(cells), len(nodes), -1)     # (N, 15**d, K)
+    # real and imaginary parts are contracted side by side
+    with np.errstate(invalid="ignore", over="ignore"):   # checked just below
+        rules = _contract(values.view(np.float64), dim).view(np.complex128)
+        rules *= np.prod(half, axis=1)[:, None, None]    # (N, 2**d, K)
+    kron = rules[:, 0]
+    # every node has a positive Kronrod weight, so a NaN or an infinity
+    # anywhere in a cell makes that cell's Kronrod sum non-finite
+    finite = np.isfinite(kron).all(axis=1)
+    if not finite.all():
+        bad = cells[int(np.argmin(finite))]
+        raise NonFiniteIntegrandError(
+            f"integrand is not finite in cell {bad.box} of the integration "
+            f"box {box}")
+    # Gauss on one axis a, Kronrod on the others
+    one_gauss = [2 ** (dim - 1 - a) for a in range(dim)]
+    mixed = np.abs(kron[:, None] - rules[:, one_gauss])  # (N, d, K)
+    comp_err = np.maximum(np.abs(kron - rules[:, -1]), mixed.max(axis=1))
+    errs = comp_err.sum(axis=1).tolist()
+    axes = mixed.sum(axis=2).argmax(axis=1).tolist()
     for i, cell in enumerate(cells):
-        cell.value = complex(kron[i])
-        cell.err = float(errs[i])
-        cell.axis_err = tuple(axis_errs[i])
+        cell.err = errs[i]
+        cell.axis = axes[i]
+        cell.batch = batch
+        cell.row = i
+    shape = (len(cells),) + raw.shape[1:]
+    # a copy, so the batch's other rule sums are freed
+    return kron.reshape(shape).copy(), comp_err.reshape(shape)
 
 
 def _split(cell: _Cell, axis: int, next_index: int) -> tuple[_Cell, _Cell]:
@@ -218,14 +264,18 @@ def adaptive_integrate(eval_fn: Callable[[np.ndarray], np.ndarray],
                        box: Sequence[tuple[float, float]],
                        spec: QuadratureSpec,
                        specials: Sequence[SpecialPoint] = (),
-                       phys_map=None,
-                       diagnostics: list | None = None) -> IntegralResult:
+                       phys_map=None) -> IntegralResult:
     """Integrate a vectorized parameter-space integrand over a box.
 
-    ``eval_fn`` maps parameter batches (m, d) to complex values (m,).
-    ``phys_map`` translates parameters to ambient points so that
-    ``specials`` can steer the pre-splitting; without it the specials are
-    interpreted directly in parameter space.
+    ``eval_fn`` maps parameter batches (m, d) to complex values (m,), or to
+    a vector of K values per point, (m, K).  Every component shares one
+    subdivision: a cell's error is the sum of its components' errors, the
+    split axis is the one whose mixed-rule differences sum largest, and the
+    integration has converged when the summed error is at most
+    max(abs_tol, rel_tol * sum_k |value_k|).  With K = 1 these are the
+    scalar rules.  ``phys_map`` translates parameters to ambient points so
+    that ``specials`` can steer the pre-splitting; without it the specials
+    are interpreted directly in parameter space.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     dim = len(box)
@@ -240,20 +290,28 @@ def adaptive_integrate(eval_fn: Callable[[np.ndarray], np.ndarray],
 
     cells, next_index = _presplit(box, specials, phys_map, spec.corner_refine_depth, 0)
 
+    values: list[np.ndarray] = []   # per batch: each cell's Kronrod value
+    errors: list[np.ndarray] = []   # per batch: each cell's error per component
+
+    def evaluate(batch_cells: list[_Cell]):
+        kron, comp_err = _evaluate_cells(batch_cells, dim, eval_fn, box,
+                                         len(values))
+        values.append(kron)
+        errors.append(comp_err)
+        return kron.sum(axis=0)
+
     batch = _BATCH_BY_DIM[dim]
-    for start in range(0, len(cells), max(batch, 8)):
-        _evaluate_cells(cells[start:start + max(batch, 8)], dim, eval_fn)
+    total_value = sum(evaluate(cells[start:start + max(batch, 8)])
+                      for start in range(0, len(cells), max(batch, 8)))
 
     heap: list[tuple[float, int, _Cell]] = []
     for cell in cells:
         heapq.heappush(heap, (-cell.err, cell.index, cell))
     leaves = {cell.index: cell for cell in cells}
     used = len(cells)
-
-    total_value = sum(c.value for c in cells)
     total_err = sum(c.err for c in cells)
     while heap:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total_value))
+        tol = max(spec.abs_tol, spec.rel_tol * float(np.sum(np.abs(total_value))))
         if total_err <= tol:
             break
         if used >= spec.max_subdivisions:
@@ -271,36 +329,31 @@ def adaptive_integrate(eval_fn: Callable[[np.ndarray], np.ndarray],
         children: list[_Cell] = []
         for cell in popped:
             del leaves[cell.index]
-            total_value -= cell.value
             total_err -= cell.err
-            axis = int(np.argmax(cell.axis_err))
-            a, b = _split(cell, axis, next_index)
+            a, b = _split(cell, cell.axis, next_index)
             next_index += 2
             children.extend([a, b])
-        _evaluate_cells(children, dim, eval_fn)
+        total_value = (total_value - sum(values[c.batch][c.row] for c in popped)
+                       + evaluate(children))
         used += len(children)
         for child in children:
             leaves[child.index] = child
-            total_value += child.value
             total_err += child.err
             heapq.heappush(heap, (-child.err, child.index, child))
 
     # fixed final summation order: lexicographic by cell lower corner, then size
     ordered = sorted(leaves.values(),
                      key=lambda c: tuple(lo for lo, _ in c.box) + tuple(hi for _, hi in c.box))
-    total_value = complex(sum(c.value for c in ordered))
-    total_err = float(sum(c.err for c in ordered))
-    converged = total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_value))
-
-    if diagnostics is not None:
-        for c in ordered:
-            row = [c.index]
-            for lo, hi in c.box:
-                row.extend([lo, hi])
-            row.extend([abs(c.value), c.err])
-            diagnostics.append(tuple(row))
-
-    return IntegralResult(total_value, total_err, used, converged)
+    starts = np.cumsum([0] + [len(v) for v in values])
+    slots = [starts[c.batch] + c.row for c in ordered]
+    value = np.concatenate(values)[slots].sum(axis=0)
+    comp_err = np.concatenate(errors)[slots].sum(axis=0)
+    total_err = float(np.sum(comp_err))
+    converged = total_err <= max(spec.abs_tol,
+                                 spec.rel_tol * float(np.sum(np.abs(value))))
+    if np.ndim(value) == 0:
+        return IntegralResult(complex(value), total_err, used, converged)
+    return IntegralResult(value, comp_err, used, converged)
 
 
 def combine_results(results: Iterable[IntegralResult]) -> IntegralResult:
@@ -323,13 +376,13 @@ def combine_results(results: Iterable[IntegralResult]) -> IntegralResult:
 
 
 def integrate_face(patch, density, spec: QuadratureSpec,
-                   specials: Sequence[SpecialPoint] = (),
-                   diagnostics: list | None = None) -> IntegralResult:
+                   specials: Sequence[SpecialPoint] = ()) -> IntegralResult:
     """Integrate a pulled-back density over one boundary patch.
 
-    ``density(z, frame) -> (m,)`` receives ambient points (m, n) and the
-    complex tangent frame (m, n, d).  The patch orientation sign is applied
-    here; masked points contribute zero.
+    ``density(z, frame)`` receives ambient points (m, n) and the complex
+    tangent frame (m, n, d) and returns (m,) values, or (m, K) for K
+    densities integrated on one shared subdivision.  The patch orientation
+    sign is applied here; masked points contribute zero.
     """
     mask = patch.active_mask
 
@@ -337,18 +390,18 @@ def integrate_face(patch, density, spec: QuadratureSpec,
         z = patch.param_map(params)
         vals = np.asarray(density(z, patch.jacobian(params)), dtype=np.complex128)
         if mask is not None:
-            vals = np.where(mask(z), vals, 0.0)
+            keep = mask(z)
+            vals = np.where(keep if vals.ndim == 1 else keep[:, None], vals, 0.0)
         return vals
 
     result = adaptive_integrate(eval_fn, patch.param_box, spec, specials,
-                                phys_map=patch.param_map, diagnostics=diagnostics)
+                                phys_map=patch.param_map)
     return IntegralResult(patch.orientation_sign * result.value, result.err_est,
                           result.cells_used, result.converged)
 
 
 def integrate_boundary(domain, density, spec: QuadratureSpec,
                        specials: Sequence[SpecialPoint] = (),
-                       diagnostics: list | None = None,
                        patch_filter=None) -> IntegralResult:
     """Sum of integrate_face over every patch of every piece, in fixed order."""
     parts = []
@@ -356,13 +409,12 @@ def integrate_boundary(domain, density, spec: QuadratureSpec,
         for patch in piece.patches:
             if patch_filter is not None and not patch_filter(patch):
                 continue
-            parts.append(integrate_face(patch, density, spec, specials, diagnostics))
+            parts.append(integrate_face(patch, density, spec, specials))
     return combine_results(parts)
 
 
 def integrate_volume(domain, integrand, spec: QuadratureSpec,
-                     specials: Sequence[SpecialPoint] = (),
-                     diagnostics: list | None = None) -> IntegralResult:
+                     specials: Sequence[SpecialPoint] = ()) -> IntegralResult:
     """Integrate integrand(z) dV over the domain.
 
     Uses the domain's exact volume parametrizations when present (every
@@ -378,7 +430,7 @@ def integrate_volume(domain, integrand, spec: QuadratureSpec,
             z = vp.param_map(params)
             return np.asarray(integrand(z), dtype=np.complex128) * vp.jacobian(params)
         parts.append(adaptive_integrate(eval_fn, vp.param_box, spec, specials,
-                                        phys_map=vp.param_map, diagnostics=diagnostics))
+                                        phys_map=vp.param_map))
     return combine_results(parts)
 
 

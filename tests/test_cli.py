@@ -7,6 +7,7 @@ import pytest
 
 from holobc import cli
 from holobc.cli import main
+from holobc.errors import NonFiniteIntegrandError
 
 SQUARE_PIECES = [
     {"kind": "box-side", "axis": "x", "side": "min", "value": 0.0},
@@ -157,6 +158,30 @@ def test_exit_2_on_csv_too_short_to_fit(tmp_path, capsys):
                     + "".join(f"{0.1 * 0.5 ** k},1,0,0\n" for k in range(5)))
     assert main(["asymptotics", "--csv", str(path)]) == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing-csv", "malformed-csv",
+                                  "pole-shifted-onto-boundary"])
+def test_exit_2_instead_of_a_traceback(tmp_path, capsys, case):
+    if case == "pole-shifted-onto-boundary":
+        # eps0 = 1e-300 leaves the shifted corner pole of 1/z on the boundary
+        argv = ["pair", "--scenario", "square_f=1/z", "--eps0", "1e-300"]
+    else:
+        path = tmp_path / "pairing.csv"
+        if case == "malformed-csv":
+            path.write_text("epsilon,re,im,err_est\n0.1,1,0\n")
+        argv = ["asymptotics", "--csv", str(path)]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_exit_8_on_non_finite_integrand(capsys, monkeypatch):
+    def nan_pairing(*args, **kwargs):
+        raise NonFiniteIntegrandError("integrand is not finite")
+
+    monkeypatch.setattr(cli, "pairing_sequence", nan_pairing)
+    assert main(["pair", "--scenario", "square_f=1", "--steps", "6"]) == 8
+    assert "non-finite integrand" in capsys.readouterr().err
 
 
 def test_exit_3_on_bad_geometry(tmp_path, capsys):

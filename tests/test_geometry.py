@@ -264,6 +264,13 @@ def test_shared_factor_weights_match_per_chart_evaluation(request, which):
         expected[hot] = weights[i][hot] / total
         assert np.array_equal(cover.partition_weight(i, z), expected)
 
+    # a sequence of indices gives one column per chart, in the order asked
+    order = list(range(len(cover.charts)))[::-1]
+    columns = cover.partition_weight(order, z)
+    assert columns.shape == (len(z), len(order))
+    for k, i in enumerate(order):
+        assert np.array_equal(columns[:, k], cover.partition_weight(i, z))
+
 
 def test_bidisc_chart_weights_are_tile_products(bidisc_domain, bidisc_cover):
     # each product chart is (tile or interior of z1) x (tile or interior of

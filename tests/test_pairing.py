@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from holobc import pairing
 from holobc.errors import (BudgetExceededError, FormNotClosedError,
                            NotL1Error, PoleOnBoundaryError, ScenarioError)
 from holobc.functions import rational_function
@@ -15,6 +16,8 @@ from holobc.pairing import (FaceDistribution, PairingSchedule,
                             plateau_cutoff, stokes_oracle, validate_outward,
                             weinstock_test)
 from holobc.quadrature import QuadratureSpec
+from holobc.scenario import (build_cover, build_domain, build_quadrature,
+                             load_scenario)
 
 
 def test_plateau_cutoff_shape():
@@ -28,6 +31,21 @@ def test_plateau_cutoff_shape():
 
 def test_form_dbar_audit_small(square_domain, x_form):
     assert check_form(x_form, square_domain) < 1e-4
+
+
+def test_face_density_cofactors_match_linalg_det():
+    rng = np.random.default_rng(5)
+    m = 400
+    frame = rng.normal(size=(m, 2, 3)) + 1j * rng.normal(size=(m, 2, 3))
+    z = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    g = [lambda z: z[:, 0] ** 2, lambda z: 1.0 / (z[:, 1] + 3.0)]
+    form = pairing.TestForm(degree=(2, 1), coefficients=tuple(g),
+                            dbar_coefficients=(lambda z: np.zeros(len(z)),))
+    expected = sum(g[k](z) * np.linalg.det(np.stack(
+        [frame[:, 0, :], frame[:, 1, :], np.conj(frame[:, k, :])], axis=1))
+        for k in range(2))
+    got = form.face_density(z, frame)
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
 
 
 def test_schedule_epsilons_geometric():
@@ -187,3 +205,28 @@ def test_bidisc_closed_forms_orthogonal(bidisc_domain):
     assert report.cells_used <= 1_000_000
     for entry in report.entries:
         assert abs(entry.value) < 1e-4 * report.scale
+
+
+@pytest.fixture(scope="module")
+def bidisc_translated_case():
+    sc = load_scenario("bidisc")
+    domain = build_domain(sc)
+    cut = sc.forms[0]["cutoff"]
+    cutoff = plateau_cutoff([complex(*c) for c in cut["center"]],
+                            cut["plateau"], cut["support"])
+    psi = form_from_expressions(("0", "zbar1"), 2, cutoff)
+    return sc, domain, build_cover(sc, domain), psi
+
+
+@pytest.mark.parametrize("rel_tol", [1e-2, 5e-3])
+def test_bidisc_translated_sample_meets_its_error_estimate(
+        bidisc_translated_case, rel_tol):
+    # f = 1: the translated pairing is int_bdry psi = 4 pi^2 for every eps
+    sc, domain, cover, psi = bidisc_translated_case
+    f = rational_function("1", 2)
+    sample = pairing_at_epsilon(domain, f, psi, cover, 0.1,
+                                build_quadrature(sc, rel_tol=rel_tol))
+    assert abs(sample.value - 4.0 * np.pi ** 2) <= sample.err_est
+    assert len(sample.per_chart) == len(cover.charts)
+    assert abs(sum(c.value for c in sample.per_chart) - sample.value) < 1e-12
+    assert max(c.cells_used for c in sample.per_chart) <= sample.cells_used

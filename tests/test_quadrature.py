@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from holobc.quadrature import (IntegralResult, QuadratureSpec, SpecialPoint,
+from holobc.errors import NonFiniteIntegrandError
+from holobc.quadrature import (WG_EMBEDDED, WGK, IntegralResult,
+                               QuadratureSpec, SpecialPoint, _contract,
                                adaptive_integrate, combine_results,
                                integrate_boundary, integrate_face,
                                integrate_volume)
@@ -75,6 +77,70 @@ def test_repeat_runs_bitwise_identical():
     b = adaptive_integrate(f, ((0.0, 2.0),), TIGHT)
     assert a.value == b.value
     assert a.cells_used == b.cells_used
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_rule_contraction_matches_axis_by_axis_tensordot(dim):
+    values = np.random.default_rng(dim).normal(size=(3,) + (15,) * dim)
+
+    def reference(gauss_axes):
+        out = values
+        for a in range(dim):
+            out = np.tensordot(out, WG_EMBEDDED if a in gauss_axes else WGK,
+                               axes=(1, 0))
+        return out
+
+    rules = _contract(values.reshape(3, -1, 1), dim)[:, :, 0]
+    assert np.allclose(rules[:, 0], reference(()), rtol=1e-13, atol=0)
+    assert np.allclose(rules[:, -1], reference(range(dim)), rtol=1e-13, atol=0)
+    for a in range(dim):
+        assert np.allclose(rules[:, 2 ** (dim - 1 - a)], reference((a,)),
+                           rtol=1e-13, atol=0)
+
+
+def _three(p):
+    x = p[:, 0].real
+    return np.stack([1.0 / np.sqrt(x + 1e-3), np.cos(20.0 * x),
+                     np.exp(x) * 1j], axis=-1)
+
+
+def test_vector_integrand_matches_scalar_runs():
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=20_000)
+    box = ((0.0, 1.0),)
+    vector = adaptive_integrate(_three, box, spec)
+    assert vector.converged
+    assert vector.value.shape == vector.err_est.shape == (3,)
+    for k in range(3):
+        scalar = adaptive_integrate(lambda p, k=k: _three(p)[:, k], box, spec)
+        assert scalar.converged
+        gap = abs(vector.value[k] - scalar.value)
+        assert gap <= vector.err_est[k] + scalar.err_est
+
+
+def test_one_component_vector_is_the_scalar_rule():
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, max_subdivisions=20_000)
+    box = ((0.0, 1.0), (0.0, 2.0))
+
+    def f(p):
+        return np.exp(p[:, 0] * p[:, 1]) / (p[:, 0] + 0.05) + 0.0j
+
+    scalar = adaptive_integrate(f, box, spec)
+    vector = adaptive_integrate(lambda p: f(p)[:, None], box, spec)
+    assert vector.value.shape == (1,)
+    assert vector.value[0] == scalar.value
+    assert vector.err_est[0] == scalar.err_est
+    assert (vector.cells_used, vector.converged) == (scalar.cells_used,
+                                                     scalar.converged)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_integrand_raises_naming_the_box(bad):
+    def f(p):
+        x = p[:, 0].real
+        return np.where(x > 0.7, bad, 1.0) + 0.0j
+
+    with pytest.raises(NonFiniteIntegrandError, match=r"\(\(0\.0, 2\.0\),\)"):
+        adaptive_integrate(f, ((0.0, 2.0),), TIGHT)
 
 
 def test_combine_results_sums_fields():
