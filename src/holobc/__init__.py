@@ -13,8 +13,8 @@ from .asymptotics import (AsymptoticFit, ChannelFit, classify_bc_existence,
                           fit_models, richardson_limit, verify_antiderivatives)
 from .errors import (BudgetExceededError, FormNotClosedError, GeometryError,
                      HolobcError, NoOutwardVectorError, NonFiniteIntegrandError,
-                     NotL1Error, OutsideDomainError, PoleInsideError,
-                     PoleOnBoundaryError, ScenarioError, TooFewSamplesError)
+                     NotL1Error, PoleInsideError, PoleOnBoundaryError,
+                     ScenarioError, TooFewSamplesError)
 from .functions import (GrowthEstimate, HolomorphicFunction, check_holomorphic,
                         estimate_growth, pole_status, rational_function)
 from .geometry import (ChartCover, CornerStratum, PiecewiseDomain, SmoothPiece,
@@ -37,7 +37,7 @@ __all__ = [
     "CornerStratum", "FaceDistribution", "FormNotClosedError", "GeometryError",
     "GrowthEstimate", "HolobcError", "HolomorphicFunction", "IntegralResult",
     "NoOutwardVectorError", "NonFiniteIntegrandError", "NotL1Error",
-    "OutsideDomainError", "PairingSample", "PairingSchedule", "PiecewiseDomain",
+    "PairingSample", "PairingSchedule", "PiecewiseDomain",
     "PoleInsideError", "PoleOnBoundaryError", "QuadratureSpec", "RadialCutoff",
     "Scenario", "ScenarioError", "SmoothPiece", "SpecialPoint", "StratumVerdict",
     "TestForm", "TooFewSamplesError", "TranslationChart", "WeinstockReport",

@@ -45,6 +45,7 @@ _MODEL_BASES = {
 _COEFF_FLOOR = 1e-12
 
 MIN_FIT_SAMPLES = 6     # fewest samples fit_models classifies
+_FIT_WINDOW = 8         # trailing samples each channel is fitted over
 
 _MISFIT_CEILING = 0.05   # fraction of max|F| above which no model is trusted
 
@@ -145,12 +146,12 @@ def _combine_models(re_fit: ChannelFit, im_fit: ChannelFit) -> str:
     return MODEL_LOG_POW1
 
 
-def fit_models(samples, window: int = 8) -> AsymptoticFit:
+def fit_models(samples) -> AsymptoticFit:
     """Fit the tail of a pairing sequence and classify its limit behavior.
 
     The real and imaginary channels are fitted separately over the last
-    ``window`` samples; the joint classification is the most severe of the
-    two (POWER > LOG > UNDETERMINED > CONVERGENT).  When the joint verdict is
+    ``_FIT_WINDOW`` samples; the joint classification is the most severe of
+    the two (POWER > LOG > UNDETERMINED > CONVERGENT).  When the verdict is
     CONVERGENT the limit is the Richardson extrapolation of the last four
     samples, which removes the leading O(eps) tail exactly on geometric
     schedules.
@@ -159,10 +160,8 @@ def fit_models(samples, window: int = 8) -> AsymptoticFit:
     if len(eps) < MIN_FIT_SAMPLES:
         raise TooFewSamplesError(
             f"need at least {MIN_FIT_SAMPLES} samples to classify, got {len(eps)}")
-    eps_w = eps[-window:]
-    vals_w = vals[-window:]
-    if len(eps_w) < 4:
-        raise TooFewSamplesError(f"window too small: {len(eps_w)}")
+    eps_w = eps[-_FIT_WINDOW:]
+    vals_w = vals[-_FIT_WINDOW:]
 
     joint_scale = float(np.max(np.abs(vals_w)))
     re_fit = _fit_channel(eps_w, vals_w.real, joint_scale)
@@ -322,14 +321,6 @@ def closed_form_segment(eps: float) -> complex:
         raise ScenarioError(f"eps must be positive, got {eps}")
     c = eps * (1.0 + 1.0j)
     return complex(np.log((1.0 + c) / c) + c / (1.0 + c) - 1.0)
-
-
-def simple_pole_segment(eps: float) -> complex:
-    """int_0^1 x dx / (x + c) with c = eps (1 + i); converges to 1."""
-    if eps <= 0:
-        raise ScenarioError(f"eps must be positive, got {eps}")
-    c = eps * (1.0 + 1.0j)
-    return complex(1.0 - c * np.log((1.0 + c) / c))
 
 
 I_PLUS_LOG_LIMIT = -(0.5 * math.log(2.0) + 0.5 * math.pi)

@@ -2,11 +2,12 @@
 
 Commands read a scenario (shipped name or JSON path), run the library, and
 print one JSON report with stable key order to stdout.  CSV files and report
-copies land in --out.  Exit codes: 0 success, 2 scenario config error,
-3 geometry validation error, 4 no admissible translation direction,
-5 quadrature budget exhausted (partial CSV still written), 6 orthogonality
-test failed or a test form was not closed, 7 growth estimation failed,
-8 an integrand returned a NaN or an infinity.
+copies land in --out.  Exit codes: 0 success, 2 scenario config error
+(including a pole inside the domain), 3 geometry validation error, 4 no
+admissible translation direction, 5 quadrature budget exhausted (partial
+CSV still written), 6 orthogonality test failed or a test form was not
+closed, 7 growth estimation failed, 8 an integrand returned a NaN or an
+infinity.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .asymptotics import (I_PLUS_LOG_LIMIT, II_LIMIT_CLAIMED, II_LIMIT_DERIVED,
                           verify_antiderivatives)
 from .errors import (BudgetExceededError, FormNotClosedError, GeometryError,
                      HolobcError, NonFiniteIntegrandError, NoOutwardVectorError,
-                     NotL1Error, PoleOnBoundaryError, ScenarioError)
-from .functions import estimate_growth
+                     NotL1Error, PoleInsideError, PoleOnBoundaryError,
+                     ScenarioError, TooFewSamplesError)
+from .functions import boundary_poles, estimate_growth
 from .geometry import classify_stratum, locate_strata, validate_domain
 from .pairing import pairing_sequence, stokes_oracle, weinstock_test
 from .quadrature import QuadratureSpec, SpecialPoint, adaptive_integrate
@@ -186,6 +188,8 @@ def _run_sequences(scenario, args, write_csv: bool):
     spec = build_quadrature(scenario, rel_tol=args.tol)
     domain = _prepared_domain(scenario)
     f = _require_function(scenario)
+    # a pole inside the domain raises here, before any pairing runs
+    boundary_poles(domain, f)
     forms = _require_forms(scenario)
     cover = build_cover(scenario, domain)
 
@@ -549,6 +553,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code and message prefix of each library error a command lets through;
+# a fit or an oracle whose precondition the scenario does not meet is a
+# configuration error
+_ERROR_EXITS = (
+    (ScenarioError, EXIT_CONFIG, "scenario error"),
+    ((PoleOnBoundaryError, PoleInsideError, TooFewSamplesError, NotL1Error),
+     EXIT_CONFIG, "configuration error"),
+    (NoOutwardVectorError, EXIT_NO_OUTWARD, "no admissible translation direction"),
+    (GeometryError, EXIT_GEOMETRY, "geometry validation failed"),
+    (BudgetExceededError, EXIT_BUDGET, "quadrature budget exhausted"),
+    (FormNotClosedError, EXIT_WEINSTOCK, "test form is not closed"),
+    (NonFiniteIntegrandError, EXIT_NON_FINITE, "non-finite integrand"),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -556,29 +575,12 @@ def main(argv=None) -> int:
     except CommandFailure as err:
         print(f"holobc: {err}", file=sys.stderr)
         return err.exit_code
-    except ScenarioError as err:
-        print(f"holobc: scenario error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PoleOnBoundaryError as err:
-        # the schedule translated a pole onto the supported boundary
-        print(f"holobc: configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoOutwardVectorError as err:
-        print(f"holobc: no admissible translation direction: {err}",
-              file=sys.stderr)
-        return EXIT_NO_OUTWARD
-    except GeometryError as err:
-        print(f"holobc: geometry validation failed: {err}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except BudgetExceededError as err:
-        print(f"holobc: quadrature budget exhausted: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FormNotClosedError as err:
-        print(f"holobc: test form is not closed: {err}", file=sys.stderr)
-        return EXIT_WEINSTOCK
-    except NonFiniteIntegrandError as err:
-        print(f"holobc: non-finite integrand: {err}", file=sys.stderr)
-        return EXIT_NON_FINITE
+    except HolobcError as err:
+        for kinds, code, what in _ERROR_EXITS:
+            if isinstance(err, kinds):
+                print(f"holobc: {what}: {err}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

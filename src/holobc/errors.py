@@ -30,12 +30,6 @@ class NoOutwardVectorError(HolobcError):
     code = "NO_OUTWARD_VECTOR"
 
 
-class OutsideDomainError(HolobcError):
-    """A point expected inside the closed domain is not."""
-
-    code = "OUTSIDE_DOMAIN"
-
-
 class PoleInsideError(HolobcError):
     """A pole of the function lies in the interior of the domain."""
 

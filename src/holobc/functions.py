@@ -9,14 +9,14 @@ blow-up envelope along inward rays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import PoleInsideError, ScenarioError
 from .geometry import PiecewiseDomain, nearest_boundary_gap
-from .rational import AffinePole, compile_node, find_poles, parse_expression, to_text
+from .rational import AffinePole, compile_node, find_poles, parse_expression
 
 __all__ = [
     "PoleDescriptor",
@@ -47,7 +47,6 @@ class HolomorphicFunction:
     ambient_dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     pole_locus: tuple[PoleDescriptor, ...] = ()
-    expression: str = ""
     label: str = ""
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -58,20 +57,6 @@ class HolomorphicFunction:
         out = self.evaluator(z)
         return out[0] if squeeze else out
 
-    def translate(self, v: np.ndarray, eps: float) -> "HolomorphicFunction":
-        """The function z -> f(z - eps v); poles shift to location + eps v."""
-        v = np.asarray(v, dtype=np.complex128)
-        shift = eps * v
-
-        def shifted(z, base=self.evaluator, shift=shift):
-            return base(z - shift)
-
-        poles = tuple(replace(p, location=p.location + complex(shift[p.var]))
-                      for p in self.pole_locus)
-        return HolomorphicFunction(self.ambient_dim, shifted, poles,
-                                   self.expression,
-                                   f"{self.label or 'f'}(z-{eps:g}v)")
-
 
 def rational_function(text: str, ambient_dim: int) -> HolomorphicFunction:
     """Parse expression text in z (or z1, z2) into a function with poles."""
@@ -79,8 +64,7 @@ def rational_function(text: str, ambient_dim: int) -> HolomorphicFunction:
     fn = compile_node(node, ambient_dim)
     poles = tuple(PoleDescriptor.from_affine(p)
                   for p in find_poles(node, ambient_dim))
-    return HolomorphicFunction(ambient_dim, fn, poles,
-                               expression=to_text(node, ambient_dim), label=text)
+    return HolomorphicFunction(ambient_dim, fn, poles, label=text)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +143,13 @@ def _factor_status(factor, w0: complex, tol: float) -> str:
     return "inside" if gap == 0.0 else "outside"
 
 
-def boundary_poles(domain: PiecewiseDomain, f: HolomorphicFunction,
-                   forbid_inside: bool = True) -> tuple[PoleDescriptor, ...]:
+def boundary_poles(domain: PiecewiseDomain,
+                   f: HolomorphicFunction) -> tuple[PoleDescriptor, ...]:
     """Poles sitting on the boundary; raises when one is strictly inside."""
     out = []
     for p in f.pole_locus:
         status = pole_status(domain, p)
-        if status == "inside" and forbid_inside:
+        if status == "inside":
             raise PoleInsideError(
                 f"singular set z{p.var + 1} = {p.location} lies inside the domain")
         if status == "boundary":
@@ -223,32 +207,27 @@ def _growth_anchor(domain: PiecewiseDomain, pole: PoleDescriptor) -> np.ndarray:
 
 
 def estimate_growth(f: HolomorphicFunction, domain: PiecewiseDomain,
-                    n_rays: int = 5,
-                    target: PoleDescriptor | None = None,
-                    anchor: np.ndarray | None = None,
-                    levels: range = range(3, 13)) -> GrowthEstimate:
+                    n_rays: int = 5) -> GrowthEstimate:
     """Fit the blow-up order of |f| along inward rays toward a boundary point.
 
-    Samples sup |f| over a fan of n_rays rays at dyadic distances
-    d = scale * 2^-m and regresses log sup against log(1/d); the slope,
-    clamped at zero, estimates the growth exponent k_hat.
+    The point is on the singular set of the first boundary pole, or any
+    boundary point when f has none.  Samples sup |f| over a fan of n_rays
+    rays at dyadic distances d = scale * 2^-m, m = 3..12, and regresses
+    log sup against log(1/d); the slope, clamped at zero, estimates the
+    growth exponent k_hat.
     """
-    if anchor is None:
-        if target is None:
-            bps = boundary_poles(domain, f)
-            if bps:
-                target = bps[0]
-        if target is not None:
-            anchor = _growth_anchor(domain, target)
-        else:
-            # nothing blows up; any boundary point certifies exponent zero
-            pts, _ = domain.boundary_samples(per_axis=8)
-            anchor = pts[0]
-    anchor = np.asarray(anchor, dtype=np.complex128)
+    bps = boundary_poles(domain, f)
+    target = bps[0] if bps else None
+    if target is not None:
+        anchor = _growth_anchor(domain, target)
+    else:
+        # nothing blows up; any boundary point certifies exponent zero
+        pts, _ = domain.boundary_samples(per_axis=8)
+        anchor = pts[0]
     u = _inward_direction(domain, anchor)
     scale = min(1.0, domain.diameter() / 4.0)
     angles = np.linspace(-0.45, 0.45, max(n_rays, 1))
-    distances = np.array([scale * 2.0 ** (-m) for m in levels])
+    distances = np.array([scale * 2.0 ** (-m) for m in range(3, 13)])
     sups = np.empty(len(distances))
     used = 0
     for i, d in enumerate(distances):

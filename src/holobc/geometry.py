@@ -56,6 +56,8 @@ RANK_TOLERANCE = 1e-8  # relative singular-value threshold for all rank tests
 # relative eigenvalue cut for the Gram matrix of the Newton step: a squared
 # singular-value ratio, kept well above the eigensolver's roundoff
 _GRAM_RANK_TOLERANCE = 1e-12
+_NEWTON_SWEEPS = 50          # Gauss-Newton sweeps per stratum subset
+_MAX_STRATUM_SAMPLES = 48    # samples kept per stratum after deduplication
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +478,8 @@ def _single_factor_domain(factor, label: str) -> PiecewiseDomain:
         for idx, curve in enumerate(curves):
             if factor.curve_owner(idx) != j:
                 continue
-            ts = []
-            for c in corner_pts:
-                t = _param_on_curve(curve, c)
-                if t is not None:
-                    ts.append(t)
+            ts = [t for c in corner_pts
+                  if (t := _param_on_curve(curve.point, curve.t_range, c)) is not None]
             patches.append(_embed_curve_1d(curve, j, grad, sorted(ts)))
         pieces.append(SmoothPiece(rho, grad, dbar, tuple(patches), plabel))
     solid_box, solid_map, solid_jac = factor.solid()
@@ -492,19 +491,22 @@ def _single_factor_domain(factor, label: str) -> PiecewiseDomain:
                            product_factors=(factor,), label=label)
 
 
-def _param_on_curve(curve: _Curve, point: complex, tol: float = 1e-9) -> float | None:
-    ts = np.linspace(curve.t_range[0], curve.t_range[1], 513)
-    d = np.abs(curve.point(ts) - point)
+def _param_on_curve(point_at: Callable[[np.ndarray], np.ndarray],
+                    t_range: tuple[float, float], point: complex) -> float | None:
+    """The parameter t in ``t_range`` with point_at(t) within 1e-7 of
+    ``point``, or None; ``point_at`` maps (m,) parameters to (m,) points."""
+    ts = np.linspace(t_range[0], t_range[1], 513)
+    d = np.abs(point_at(ts) - point)
     k = int(np.argmin(d))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
     for _ in range(60):
         mids = np.linspace(lo, hi, 9)
-        dm = np.abs(curve.point(mids) - point)
+        dm = np.abs(point_at(mids) - point)
         k = int(np.argmin(dm))
         lo, hi = mids[max(k - 1, 0)], mids[min(k + 1, 8)]
     t = 0.5 * (lo + hi)
-    if abs(complex(curve.point(np.array([t]))[0]) - point) < tol:
+    if abs(complex(point_at(np.array([t]))[0]) - point) < 1e-7:
         return float(t)
     return None
 
@@ -571,7 +573,7 @@ def _product_patches(factor, other, var: int, owner: int, n_defs0: int, grad_rho
         box = (curve.t_range,) + tuple(solid_box)
         sign = _orientation_sign(grad_rho, chart_map, frame, box)
         ts = [t for c in factor.corners()
-              if (t := _param_on_curve(curve, c)) is not None]
+              if (t := _param_on_curve(curve.point, curve.t_range, c)) is not None]
         patches.append(FacePatch(owner, box, chart_map, frame, sign,
                                  label=f"z{var + 1}-{curve.label}",
                                  corner_params=tuple(sorted(ts)),
@@ -841,17 +843,17 @@ def _classify_samples(domain: PiecewiseDomain, pieces: Sequence[int],
     return worst, tuple(reports)
 
 
-def locate_strata(domain: PiecewiseDomain, grid_resolution: int | None = None,
-                  include_faces: bool = False, max_samples: int = 48
+def locate_strata(domain: PiecewiseDomain, grid_resolution: int | None = None
                   ) -> tuple[CornerStratum, ...]:
-    """Find and classify every stratum B_S = intersection of boundary pieces.
+    """Find and classify every stratum B_S = intersection of two or more
+    boundary pieces.
 
     Seeds come from a bounding-box grid; each seed runs a damped Gauss-Newton
     on the defining functions of the subset, whose step is the minimum-norm
     least-squares step -pinv(J) r (see ``_gauss_newton_step``), so subsets
     with parallel faces settle at a least-squares point instead of failing.
-    Samples are deduplicated on the grid scale and capped at ``max_samples``
-    per stratum, deterministically.
+    Samples are deduplicated on the grid scale and capped at
+    ``_MAX_STRATUM_SAMPLES`` per stratum, deterministically.
     """
     n = domain.ambient_dim
     res = (28 if n == 1 else 10) if grid_resolution is None else grid_resolution
@@ -865,9 +867,8 @@ def locate_strata(domain: PiecewiseDomain, grid_resolution: int | None = None,
                            for p in domain.pieces])
 
     strata = []
-    min_size = 1 if include_faces else 2
     npieces = len(domain.pieces)
-    for size in range(min_size, npieces + 1):
+    for size in range(2, npieces + 1):
         for subset in itertools.combinations(range(npieces), size):
             near = np.ones(len(zgrid), dtype=bool)
             for j in subset:
@@ -875,7 +876,7 @@ def locate_strata(domain: PiecewiseDomain, grid_resolution: int | None = None,
             seeds = grid[near]
             samples = _newton_solve(domain, subset, seeds) if len(seeds) else \
                 np.zeros((0, n), dtype=np.complex128)
-            samples = _dedupe(samples, 1.2 * cell_diag, max_samples)
+            samples = _dedupe(samples, 1.2 * cell_diag, _MAX_STRATUM_SAMPLES)
             in_closure = np.array(
                 [bool(np.all(domain.rho_all(s[None, :]) <= 1e-7)) for s in samples],
                 dtype=bool) if len(samples) else np.zeros(0, dtype=bool)
@@ -884,8 +885,7 @@ def locate_strata(domain: PiecewiseDomain, grid_resolution: int | None = None,
     return tuple(strata)
 
 
-def _newton_solve(domain: PiecewiseDomain, subset, seeds: np.ndarray,
-                  iters: int = 50) -> np.ndarray:
+def _newton_solve(domain: PiecewiseDomain, subset, seeds: np.ndarray) -> np.ndarray:
     lo = np.array([a for a, _ in domain.bounding_box])
     hi = np.array([b for _, b in domain.bounding_box])
     x = np.array(seeds, dtype=float)
@@ -900,7 +900,7 @@ def _newton_solve(domain: PiecewiseDomain, subset, seeds: np.ndarray,
 
     r = residual(x)
     rnorm = np.linalg.norm(r, axis=-1)
-    for _ in range(iters):
+    for _ in range(_NEWTON_SWEEPS):
         step = _gauss_newton_step(jac(x), r)
         scale = np.ones(len(x))
         for _ in range(8):  # halve the step until the residual stops growing
@@ -1059,8 +1059,6 @@ class ChartCover:
 
     domain: PiecewiseDomain
     charts: tuple[TranslationChart, ...]
-    coverage_floor: float = 0.0   # min of summed raw bumps over checked samples
-    partition_defect: float = 0.0
     factors: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
     chart_factors: tuple[tuple[int, ...], ...] = ()
 
@@ -1106,16 +1104,16 @@ def _fine_boundary_grid(domain: PiecewiseDomain) -> tuple[np.ndarray, np.ndarray
 
 
 def chart_margin(domain: PiecewiseDomain, chart: TranslationChart,
-                 pts: np.ndarray, owners: np.ndarray,
-                 min_samples: int = 200) -> float:
+                 pts: np.ndarray, owners: np.ndarray) -> float:
     """Min directional derivative along v of every rho active in the support.
 
     ``pts``/``owners`` is a dense boundary sample; a piece counts as active
-    when the chart's weight is positive at one of its face points.
+    when the chart's weight is positive at one of its face points.  A chart
+    positive at fewer than 20 of the points has no margin (inf).
     """
     w = chart.weight(pts)
     keep = w > 0.0
-    if int(np.count_nonzero(keep)) < min(min_samples, 20):
+    if int(np.count_nonzero(keep)) < 20:
         return np.inf  # support misses the boundary (interior-plateau charts)
     pts = pts[keep]
     owners = owners[keep]
@@ -1134,8 +1132,8 @@ def chart_margin(domain: PiecewiseDomain, chart: TranslationChart,
 
 def build_chart_cover(domain: PiecewiseDomain, strata: Sequence[CornerStratum],
                       radius: float = 0.3, strip_overlap: float = 0.2,
-                      arcs_per_circle: int = 6, corner_v_rotation: float = 0.0,
-                      validate: bool = True) -> ChartCover:
+                      arcs_per_circle: int = 6, corner_v_rotation: float = 0.0
+                      ) -> ChartCover:
     """Cover the boundary with corner balls and face strips.
 
     One-variable domains get a ball around every in-closure corner sample
@@ -1143,7 +1141,9 @@ def build_chart_cover(domain: PiecewiseDomain, strata: Sequence[CornerStratum],
     and trapezoid strips along each face that die off before reaching any
     corner.  Product domains in two variables get boundary tiles of each
     factor crossed with an interior plateau of the other factor, plus tiles
-    for the pairwise corner strata with the averaged direction.
+    for the pairwise corner strata with the averaged direction.  The cover
+    is validated (coverage, partition of unity, outward margins) before it
+    is returned.
     """
     if domain.ambient_dim == 2:
         cover = _cover_product(domain, radius, strip_overlap, arcs_per_circle,
@@ -1151,8 +1151,7 @@ def build_chart_cover(domain: PiecewiseDomain, strata: Sequence[CornerStratum],
     else:
         cover = _cover_1d(domain, strata, radius, strip_overlap, arcs_per_circle,
                           corner_v_rotation)
-    if validate:
-        _check_cover(domain, cover, radius)
+    _check_cover(domain, cover, radius)
     return cover
 
 
@@ -1224,9 +1223,13 @@ def _strips_for_curve_patch(domain, piece_idx, patch, corner_pts, radius,
     sp = float(speed[0])
 
     # corner locations on this patch, in parameter units
+    def point_at(t):
+        return patch.param_map(t[:, None])[:, 0]
+
     corner_ts = sorted(set(
         [t for c in corner_pts
-         if (t := _nearest_param(patch, c)) is not None] + list(patch.corner_params)))
+         if (t := _param_on_curve(point_at, (t0, t1), c)) is not None]
+        + list(patch.corner_params)))
     corner_ts = _merge_close(corner_ts, (dead / 2.0) / sp)
 
     period = t1 - t0
@@ -1296,23 +1299,6 @@ def _merge_close(values, tol):
         if not out or v - out[-1] > tol:
             out.append(v)
     return out
-
-
-def _nearest_param(patch: FacePatch, point: complex, tol: float = 1e-7) -> float | None:
-    t0, t1 = patch.param_box[0]
-    ts = np.linspace(t0, t1, 513)
-    d = np.abs(patch.param_map(ts[:, None])[:, 0] - point)
-    k = int(np.argmin(d))
-    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
-    for _ in range(50):
-        mids = np.linspace(lo, hi, 9)
-        dm = np.abs(patch.param_map(mids[:, None])[:, 0] - point)
-        k = int(np.argmin(dm))
-        lo, hi = mids[max(k - 1, 0)], mids[min(k + 1, 8)]
-    t = 0.5 * (lo + hi)
-    if abs(complex(patch.param_map(np.array([[t]]))[0, 0]) - point) < tol:
-        return float(t)
-    return None
 
 
 def _curve_param_of(patch: FacePatch, zpts: np.ndarray, t0: float, t1: float) -> np.ndarray:
@@ -1415,13 +1401,11 @@ def _check_cover(domain: PiecewiseDomain, cover: ChartCover, radius: float) -> N
     # exercise the normalized-weight path the pairing uses
     partition = cover.partition_weight(range(len(cover.charts)), probe).sum(axis=1)
     defect = float(np.max(np.abs(partition - 1.0)))
-    cover.coverage_floor = floor
-    cover.partition_defect = defect
     if defect > 1e-10:
         raise GeometryError(f"partition of unity defect {defect:.2e}")
     fine_pts, fine_owners = _fine_boundary_grid(domain)
     for chart in cover.charts:
         chart.margin = chart_margin(domain, chart, fine_pts, fine_owners)
-        if chart.margin is not None and chart.margin <= 0.0:
+        if chart.margin <= 0.0:
             raise NoOutwardVectorError(
                 f"chart {chart.label} has non-positive outward margin {chart.margin:.3g}")

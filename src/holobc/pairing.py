@@ -21,7 +21,8 @@ from .errors import (BudgetExceededError, FormNotClosedError, NotL1Error,
                      PoleOnBoundaryError, ScenarioError)
 from .functions import HolomorphicFunction, boundary_poles
 from .geometry import (ChartCover, PiecewiseDomain, SupportBall,
-                       TranslationChart, chart_margin, nearest_boundary_gap)
+                       TranslationChart, build_chart_cover, locate_strata,
+                       nearest_boundary_gap)
 from .quadrature import (IntegralResult, QuadratureSpec, SpecialPoint,
                          combine_results, integrate_face, integrate_volume)
 from .rational import compile_node, conj_derivative, parse_expression
@@ -227,30 +228,6 @@ def check_form(form: TestForm, domain: PiecewiseDomain,
 
 
 # ---------------------------------------------------------------------------
-# Chart validation
-
-
-def validate_outward(chart: TranslationChart, domain: PiecewiseDomain,
-                     pts: np.ndarray | None = None,
-                     owners: np.ndarray | None = None) -> float:
-    """Minimal outward derivative grad(rho_j) . v over the supported boundary.
-
-    Positive means the chart's translation direction is valid; a negative
-    value is an informative return, not an error.  Uses at least 200 boundary
-    samples inside the chart support, refining the sampling until it has them.
-    """
-    if pts is not None and owners is not None:
-        return chart_margin(domain, chart, pts, owners)
-    per_axis = 512 if domain.ambient_dim == 1 else 2_000
-    for _ in range(6):
-        pts, owners = domain.boundary_samples(per_axis=per_axis)
-        if int(np.count_nonzero(chart.weight(pts) > 0.0)) >= 200:
-            break
-        per_axis *= 2
-    return chart_margin(domain, chart, pts, owners)
-
-
-# ---------------------------------------------------------------------------
 # The pairing at one epsilon
 
 
@@ -297,16 +274,16 @@ def _translated_pole_guard(domain: PiecewiseDomain, f: HolomorphicFunction,
     """Raise POLE_ON_BOUNDARY only when a shifted pole meets supp(chi) on bdry.
 
     A pole landing on a face where this chart's weight vanishes is harmless:
-    the weight-first masking keeps the integrand finite there.
+    the weight-first masking keeps the integrand finite there.  In one
+    variable the chart's weight at the shifted pole is tested first: it is
+    zero for most charts and far cheaper than the boundary gap.
     """
     tol = 1e-9
     for pole in f.pole_locus:
         q_var = pole.location + eps * complex(chart.v[pole.var])
         if domain.ambient_dim == 1:
-            q = np.array([q_var])
-            if nearest_boundary_gap(domain, q) > tol:
-                continue
-            if chart.weight(q[None, :])[0] > 0.0:
+            q = np.array([[q_var]])
+            if chart.weight(q)[0] > 0.0 and nearest_boundary_gap(domain, q[0]) <= tol:
                 raise PoleOnBoundaryError(
                     f"chart {chart.label!r}: pole of {f.label or 'f'} shifted "
                     f"to {q_var:.3e} lies on the supported boundary at "
@@ -520,14 +497,13 @@ def _pole_point(domain: PiecewiseDomain, pole) -> np.ndarray:
 
 
 def stokes_oracle(domain: PiecewiseDomain, f: HolomorphicFunction,
-                  psi: TestForm, spec: QuadratureSpec | None = None,
-                  sign: int = STOKES_SIGN) -> complex:
+                  psi: TestForm, spec: QuadratureSpec | None = None) -> complex:
     """Volume route sigma * int_Omega f * density(dbar psi) for integrable f."""
     integrability_scale(domain, f)
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12,
                               max_subdivisions=400_000, corner_refine_depth=8)
-    return sign * _stokes_volume(domain, f, psi, spec).value
+    return STOKES_SIGN * _stokes_volume(domain, f, psi, spec).value
 
 
 def _stokes_volume(domain: PiecewiseDomain, f: HolomorphicFunction,
@@ -540,11 +516,10 @@ def _stokes_volume(domain: PiecewiseDomain, f: HolomorphicFunction,
 
 
 def calibrate_stokes_sign(domain: PiecewiseDomain,
-                          psi: TestForm | None = None,
                           spec: QuadratureSpec | None = None) -> int:
-    """Re-derive the frozen volume-route sign by matching f = 1 both ways."""
-    if psi is None:
-        psi = _default_probe_form(domain)
+    """Re-derive the frozen volume-route sign by matching f = 1 both ways,
+    paired with a probe form whose cutoff plateau covers the domain."""
+    psi = _probe_form(domain)
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-10,
                               max_subdivisions=100_000)
@@ -557,7 +532,7 @@ def calibrate_stokes_sign(domain: PiecewiseDomain,
     return -1
 
 
-def _default_probe_form(domain: PiecewiseDomain) -> TestForm:
+def _probe_form(domain: PiecewiseDomain) -> TestForm:
     box = domain.bounding_box
     center = np.array([0.5 * (box[2 * k][0] + box[2 * k][1])
                        + 0.5j * (box[2 * k + 1][0] + box[2 * k + 1][1])
@@ -579,7 +554,6 @@ class FaceDistribution:
 
     face_index: int
     density: Callable[[np.ndarray], np.ndarray]
-    support_mask: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def face_restrictions(domain: PiecewiseDomain,
@@ -610,11 +584,8 @@ def _face_pairing(domain: PiecewiseDomain,
         for patch in piece.patches:
 
             def density(z, frame, dist=dist):
-                vals = (np.asarray(dist.density(z), dtype=np.complex128)
+                return (np.asarray(dist.density(z), dtype=np.complex128)
                         * psi.face_density(z, frame))
-                if dist.support_mask is not None:
-                    vals = np.where(dist.support_mask(z), vals, 0.0)
-                return vals
 
             parts.append(integrate_face(patch, density, spec))
     return combine_results(parts)
@@ -666,10 +637,8 @@ def _closedness_residual(domain: PiecewiseDomain, form: TestForm,
 
 def weinstock_test(domain: PiecewiseDomain, f, form_family: Sequence[TestForm],
                    spec: QuadratureSpec | None = None,
-                   cover: ChartCover | None = None,
                    force: bool = False,
-                   closedness_tol: float = 1e-8,
-                   neighborhood: float | None = None) -> WeinstockReport:
+                   closedness_tol: float = 1e-8) -> WeinstockReport:
     """Check that dbar-closed forms pair to zero against the boundary current.
 
     ``f`` is a HolomorphicFunction or a list of FaceDistribution.  The route
@@ -678,9 +647,9 @@ def weinstock_test(domain: PiecewiseDomain, f, form_family: Sequence[TestForm],
     otherwise.  Forms failing the dbar = 0 precondition raise FORM_NOT_CLOSED
     unless ``force`` is set, in which case their pairing is computed anyway
     and reported next to the volume oracle int_Omega dbar(psi)-density.
+    Closedness is sampled up to 1% of the diameter outside the closure.
     """
-    if neighborhood is None:
-        neighborhood = 0.01 * domain.diameter()
+    neighborhood = 0.01 * domain.diameter()
     dists = None
     func = None
     if isinstance(f, HolomorphicFunction):
@@ -738,7 +707,7 @@ def weinstock_test(domain: PiecewiseDomain, f, form_family: Sequence[TestForm],
             value, err, cells = res.value, res.err_est, res.cells_used
         else:
             value, err, cells = _weinstock_epsilon_value(domain, func, form,
-                                                         cover, spec)
+                                                         spec)
         total_cells += cells
         entries.append(WeinstockEntry(label, closed, residuals[k], value,
                                       route, err, cells, oracle))
@@ -753,10 +722,8 @@ def _boundary_sup(domain: PiecewiseDomain, func: HolomorphicFunction) -> float:
     return float(np.max(np.abs(func(pts))))
 
 
-def _weinstock_epsilon_value(domain, func, form, cover, spec):
-    if cover is None:
-        from .geometry import build_chart_cover, locate_strata
-        cover = build_chart_cover(domain, locate_strata(domain))
+def _weinstock_epsilon_value(domain, func, form, spec):
+    cover = build_chart_cover(domain, locate_strata(domain))
     samples = pairing_sequence(domain, func, form, cover,
                                PairingSchedule(steps=10), spec)
     from .asymptotics import richardson_limit

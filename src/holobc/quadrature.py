@@ -400,17 +400,10 @@ def integrate_face(patch, density, spec: QuadratureSpec,
                           result.cells_used, result.converged)
 
 
-def integrate_boundary(domain, density, spec: QuadratureSpec,
-                       specials: Sequence[SpecialPoint] = (),
-                       patch_filter=None) -> IntegralResult:
+def integrate_boundary(domain, density, spec: QuadratureSpec) -> IntegralResult:
     """Sum of integrate_face over every patch of every piece, in fixed order."""
-    parts = []
-    for piece in domain.pieces:
-        for patch in piece.patches:
-            if patch_filter is not None and not patch_filter(patch):
-                continue
-            parts.append(integrate_face(patch, density, spec, specials))
-    return combine_results(parts)
+    return combine_results(integrate_face(patch, density, spec)
+                           for piece in domain.pieces for patch in piece.patches)
 
 
 def integrate_volume(domain, integrand, spec: QuadratureSpec,
@@ -441,7 +434,6 @@ def integrate_volume_clipped(domain, integrand, spec: QuadratureSpec) -> Integra
     converges slowly; it exists as an independent cross-check oracle and as
     the fallback for domains without exact volume parametrizations.
     """
-    n = domain.ambient_dim
     box = domain.bounding_box  # 2n real intervals, interleaved (x1, y1, ...)
 
     def eval_fn(params: np.ndarray) -> np.ndarray:
@@ -449,8 +441,4 @@ def integrate_volume_clipped(domain, integrand, spec: QuadratureSpec) -> Integra
         vals = np.asarray(integrand(z), dtype=np.complex128)
         return np.where(domain.contains(z, tol=0.0), vals, 0.0)
 
-    def phys_map(params: np.ndarray) -> np.ndarray:
-        return params[:, 0::2] + 1j * params[:, 1::2]
-
-    specials = [SpecialPoint(s, 0.0) for s in getattr(domain, "corner_samples_hint", ())]
-    return adaptive_integrate(eval_fn, box, spec, specials, phys_map=phys_map)
+    return adaptive_integrate(eval_fn, box, spec)

@@ -40,7 +40,6 @@ __all__ = [
     "compile_node",
     "conj_derivative",
     "find_poles",
-    "to_text",
 ]
 
 
@@ -363,36 +362,6 @@ def conj_derivative(node: Node, var: int) -> Node:
     raise TypeError(f"unknown node {node!r}")
 
 
-def holomorphic_derivative(node: Node, var: int) -> Node:
-    """d(node) / d z_var for an AST free of conjugated variables in var."""
-    if isinstance(node, Num):
-        return Num(0)
-    if isinstance(node, Var):
-        return Num(1) if (not node.conj and node.index == var) else Num(0)
-    if isinstance(node, Add):
-        return _add(holomorphic_derivative(node.left, var), holomorphic_derivative(node.right, var))
-    if isinstance(node, Sub):
-        return _sub(holomorphic_derivative(node.left, var), holomorphic_derivative(node.right, var))
-    if isinstance(node, Mul):
-        return _add(_mul(holomorphic_derivative(node.left, var), node.right),
-                    _mul(node.left, holomorphic_derivative(node.right, var)))
-    if isinstance(node, Div):
-        du = holomorphic_derivative(node.left, var)
-        dv = holomorphic_derivative(node.right, var)
-        term1 = Div(du, node.right) if not _is_zero(du) else Num(0)
-        term2 = Div(_mul(node.left, dv), Pow(node.right, 2)) if not _is_zero(dv) else Num(0)
-        return _sub(term1, term2)
-    if isinstance(node, Pow):
-        db = holomorphic_derivative(node.base, var)
-        if _is_zero(db) or node.exponent == 0:
-            return Num(0)
-        return _mul(_mul(Num(node.exponent), Pow(node.base, node.exponent - 1)), db)
-    if isinstance(node, Neg):
-        inner = holomorphic_derivative(node.operand, var)
-        return Num(0) if _is_zero(inner) else Neg(inner)
-    raise TypeError(f"unknown node {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # Pole extraction
 #
@@ -574,57 +543,3 @@ def find_poles(node: Node, ambient_dim: int) -> tuple[AffinePole, ...]:
             poles[key] = poles.get(key, 0) + exponent * len(members)
     ordered = sorted(poles.items(), key=lambda kv: (kv[0][0], kv[0][1].real, kv[0][1].imag))
     return tuple(AffinePole(var=j, value=v, order=k) for (j, v), k in ordered)
-
-
-# ---------------------------------------------------------------------------
-# Unparsing (for labels and report round-trips)
-
-
-def to_text(node: Node, ambient_dim: int = 1) -> str:
-    def fmt_num(v: complex) -> str:
-        if v.imag == 0:
-            return _fmt_real(v.real)
-        if v.real == 0:
-            return _fmt_real(v.imag) + "i"
-        sign = "+" if v.imag > 0 else "-"
-        return f"({_fmt_real(v.real)}{sign}{_fmt_real(abs(v.imag))}i)"
-
-    def _fmt_real(x: float) -> str:
-        if x == int(x) and abs(x) < 1e15:
-            return str(int(x))
-        return repr(x)
-
-    def go(n: Node, parent: int) -> str:
-        # parent precedence: 0 add, 1 mul, 2 unary, 3 power
-        if isinstance(n, Num):
-            s = fmt_num(n.value)
-            return f"({s})" if (s.startswith("-") and parent >= 1) else s
-        if isinstance(n, Var):
-            return _var_name(n, ambient_dim)
-        if isinstance(n, Add):
-            s = f"{go(n.left, 0)} + {go(n.right, 0)}"
-            return f"({s})" if parent >= 1 else s
-        if isinstance(n, Sub):
-            s = f"{go(n.left, 0)} - {go(n.right, 1)}"
-            return f"({s})" if parent >= 1 else s
-        if isinstance(n, Mul):
-            s = f"{go(n.left, 1)}*{go(n.right, 1)}"
-            return f"({s})" if parent >= 2 else s
-        if isinstance(n, Div):
-            s = f"{go(n.left, 1)}/{go(n.right, 2)}"
-            return f"({s})" if parent >= 2 else s
-        if isinstance(n, Neg):
-            s = f"-{go(n.operand, 2)}"
-            return f"({s})" if parent >= 1 else s
-        if isinstance(n, Pow):
-            exp = str(n.exponent) if n.exponent >= 0 else f"-{-n.exponent}"
-            return f"{go(n.base, 3)}^{exp}"
-        raise TypeError(f"unknown node {n!r}")
-
-    return go(node, 0)
-
-
-def _var_name(n: Var, ambient_dim: int) -> str:
-    if ambient_dim == 1:
-        return "zbar" if n.conj else "z"
-    return f"zbar{n.index + 1}" if n.conj else f"z{n.index + 1}"

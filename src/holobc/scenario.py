@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ScenarioError
 from .functions import HolomorphicFunction, rational_function
-from .geometry import (ChartCover, CornerStratum, PiecewiseDomain,
-                       build_chart_cover, domain_from_pieces, locate_strata)
+from .geometry import (ChartCover, PiecewiseDomain, build_chart_cover,
+                       domain_from_pieces, locate_strata)
 from .pairing import PairingSchedule, TestForm, form_from_expressions, plateau_cutoff
 from .quadrature import QuadratureSpec
 
@@ -78,8 +78,7 @@ def _check_keys(data: dict, allowed: set[str], context: str) -> None:
         raise ScenarioError(f"{context}: unknown keys {sorted(extra)}")
 
 
-def _merge_defaults(data: Any, defaults: dict, context: str,
-                    casts: dict[str, type] | None = None) -> dict:
+def _merge_defaults(data: Any, defaults: dict, context: str) -> dict:
     if data is None:
         return dict(defaults)
     if not isinstance(data, dict):
@@ -87,7 +86,7 @@ def _merge_defaults(data: Any, defaults: dict, context: str,
     _check_keys(data, set(defaults), context)
     merged = dict(defaults)
     for key, value in data.items():
-        want = (casts or {}).get(key, type(defaults[key]))
+        want = type(defaults[key])
         if want is float and isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
         if not isinstance(value, want):
@@ -344,11 +343,21 @@ def load_scenario(ref: str) -> Scenario:
 # -- builders -----------------------------------------------------------------
 
 def build_domain(scenario: Scenario) -> PiecewiseDomain:
+    """The scenario's domain.  ``domain.bounding_box`` is read only by the
+    general one-variable path (halfplanes, several discs); a box, a disc or a
+    product of them carries its own box, so a bounding box given for one is
+    refused rather than ignored."""
     box = scenario.domain["bounding_box"]
-    return domain_from_pieces(
+    domain = domain_from_pieces(
         scenario.domain["pieces"], scenario.ambient_dim,
         bounding_box=None if box is None else np.asarray(box, dtype=float),
         label=scenario.domain["label"] or scenario.name)
+    if box is not None and domain.product_factors is not None:
+        raise ScenarioError(
+            "domain.bounding_box is read only for halfplanes or several discs; "
+            "a box, a disc or a product of them has its own box, so remove "
+            "the key")
+    return domain
 
 
 def build_function(scenario: Scenario) -> HolomorphicFunction | None:
@@ -395,12 +404,9 @@ def build_quadrature(scenario: Scenario,
         raise ScenarioError(f"quadrature: {err}") from err
 
 
-def build_cover(scenario: Scenario, domain: PiecewiseDomain,
-                strata: list[CornerStratum] | None = None) -> ChartCover:
-    if strata is None:
-        strata = locate_strata(domain)
+def build_cover(scenario: Scenario, domain: PiecewiseDomain) -> ChartCover:
     cov = scenario.cover
-    return build_chart_cover(domain, strata, radius=cov["radius"],
+    return build_chart_cover(domain, locate_strata(domain), radius=cov["radius"],
                              strip_overlap=cov["strip_overlap"],
                              arcs_per_circle=cov["arcs_per_circle"],
                              corner_v_rotation=cov["corner_v_rotation"])

@@ -12,8 +12,7 @@ from holobc.asymptotics import (CONVERGENT, EXISTS_NUMERICALLY,
                                 classify_bc_existence, closed_form_I,
                                 closed_form_II, closed_form_segment,
                                 fit_models, integrand_I, integrand_II,
-                                richardson_limit, simple_pole_segment,
-                                verify_antiderivatives)
+                                richardson_limit, verify_antiderivatives)
 from holobc.quadrature import QuadratureSpec, SpecialPoint, adaptive_integrate
 
 EPS = [0.1 * 0.5 ** k for k in range(12)]
@@ -120,10 +119,6 @@ def test_segment_real_part_is_the_sum_of_integrals():
 def test_segment_frozen_value():
     seg = closed_form_segment(0.1)
     assert abs(seg - (1.1537975878243607 - 0.6127710630819491j)) < 1e-12
-
-
-def test_simple_pole_segment_converges_to_one():
-    assert abs(simple_pole_segment(1e-6) - 1.0) < 1e-4
 
 
 def test_integrands_positive_on_unit_interval():

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from holobc import cli
 from holobc.cli import main
-from holobc.errors import NonFiniteIntegrandError
+from holobc.errors import HolobcError, NonFiniteIntegrandError
 
 SQUARE_PIECES = [
     {"kind": "box-side", "axis": "x", "side": "min", "value": 0.0},
@@ -161,11 +163,19 @@ def test_exit_2_on_csv_too_short_to_fit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["missing-csv", "malformed-csv",
-                                  "pole-shifted-onto-boundary"])
-def test_exit_2_instead_of_a_traceback(tmp_path, capsys, case):
+                                  "pole-shifted-onto-boundary",
+                                  "pole-inside-the-domain"])
+def test_exit_2_instead_of_a_traceback(tmp_path, capsys, monkeypatch, case):
     if case == "pole-shifted-onto-boundary":
         # eps0 = 1e-300 leaves the shifted corner pole of 1/z on the boundary
         argv = ["pair", "--scenario", "square_f=1/z", "--eps0", "1e-300"]
+    elif case == "pole-inside-the-domain":
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("a pairing ran with a pole inside the domain")
+
+        monkeypatch.setattr(cli, "pairing_sequence", no_pairing)
+        argv = ["pair", "--scenario",
+                write_scenario(tmp_path, "inner-pole", function="1/(z-1-i)")]
     else:
         path = tmp_path / "pairing.csv"
         if case == "malformed-csv":
@@ -173,6 +183,46 @@ def test_exit_2_instead_of_a_traceback(tmp_path, capsys, case):
         argv = ["asymptotics", "--csv", str(path)]
     assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+DISC_PIECE = {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize("dim, pieces, box", [
+    (1, SQUARE_PIECES, [[-5, 5], [-5, 5]]),
+    (1, [DISC_PIECE], [[-5, 5], [-5, 5]]),
+    (2, [DISC_PIECE, dict(DISC_PIECE, var=1)], [[-5, 5]] * 4),
+], ids=["box", "disc", "bidisc"])
+def test_exit_2_on_bounding_box_the_domain_would_ignore(tmp_path, capsys,
+                                                        dim, pieces, box):
+    # only halfplanes and several discs read the box; the factor domains
+    # above carry their own
+    path = write_scenario(tmp_path, "boxed", ambient_dim=dim, forms=[],
+                          domain={"pieces": pieces, "bounding_box": box})
+    assert main(["classify", "--scenario", path]) == 2
+    assert "domain.bounding_box" in capsys.readouterr().err
+
+
+def _documented_exit_codes():
+    """The codes of the README exit-code table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    return {int(code) for code in re.findall(r"^\| (\d+) ", table, re.M)}
+
+
+@pytest.mark.parametrize("error", HolobcError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_every_library_error_exits_with_a_documented_code(capsys, monkeypatch,
+                                                          error):
+    def failing(args):
+        if error is cli.CommandFailure:
+            raise error(cli.EXIT_BUDGET, "raised by the test")
+        raise error("raised by the test")
+
+    monkeypatch.setattr(cli, "cmd_classify", failing)
+    code = main(["classify", "--scenario", "square"])
+    assert code in _documented_exit_codes() - {cli.EXIT_OK}
+    assert "raised by the test" in capsys.readouterr().err
 
 
 def test_exit_8_on_non_finite_integrand(capsys, monkeypatch):

@@ -22,15 +22,6 @@ def test_evaluation_matches_formula():
     assert np.allclose(f(z), (z[0] ** 2 - 1) / (z[0] + 3))
 
 
-def test_translate_shifts_poles_and_values():
-    f = rational_function("1/z", 1)
-    v = np.array([-0.70710678 - 0.70710678j])  # outward at the origin corner
-    g = f.translate(v, 0.1)
-    assert np.allclose(g.pole_locus[0].location, 0.1 * v[0])
-    z = np.array([1.0 + 1.0j])
-    assert np.allclose(g(z), 1.0 / (z[0] - 0.1 * v[0]))
-
-
 def test_check_holomorphic_accepts_rational(square_domain):
     f = rational_function("(z^3 + 2)/(z + 5)", 1)
     assert check_holomorphic(f, square_domain) < 1e-4

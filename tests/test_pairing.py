@@ -7,14 +7,15 @@ from holobc import pairing
 from holobc.errors import (BudgetExceededError, FormNotClosedError,
                            NotL1Error, PoleOnBoundaryError, ScenarioError)
 from holobc.functions import rational_function
-from holobc.geometry import ChartCover, SupportBall, TranslationChart
+from holobc.geometry import (ChartCover, SupportBall, TranslationChart,
+                             build_chart_cover, chart_margin,
+                             domain_from_pieces, locate_strata)
 from holobc.pairing import (FaceDistribution, PairingSchedule,
                             calibrate_stokes_sign, check_form,
                             face_distribution_pairing, face_restrictions,
                             form_from_expressions, integrability_scale,
                             pairing_at_epsilon, pairing_sequence,
-                            plateau_cutoff, stokes_oracle, validate_outward,
-                            weinstock_test)
+                            plateau_cutoff, stokes_oracle, weinstock_test)
 from holobc.quadrature import QuadratureSpec
 from holobc.scenario import (build_cover, build_domain, build_quadrature,
                              load_scenario)
@@ -58,8 +59,14 @@ def test_schedule_epsilons_geometric():
 
 
 def test_outward_defect_zero_on_flat_faces(square_domain, square_cover):
+    # grad(rho) . v is constant on a flat face: 1 along a strip's normal,
+    # 1/sqrt(2) on both faces of a corner for its diagonal direction
+    pts, owners = square_domain.boundary_samples(per_axis=512)
     for chart in square_cover.charts:
-        assert validate_outward(chart, square_domain) >= 0.0
+        expected = 0.5 ** 0.5 if chart.label.startswith("corner") else 1.0
+        assert chart.margin == pytest.approx(expected, abs=1e-12)
+        assert chart_margin(square_domain, chart, pts, owners) == \
+            pytest.approx(expected, abs=1e-12)
 
 
 def test_constant_function_pairs_to_4i(square_domain, square_cover, x_form,
@@ -68,6 +75,22 @@ def test_constant_function_pairs_to_4i(square_domain, square_cover, x_form,
     sample = pairing_at_epsilon(square_domain, f, x_form, square_cover, 0.05,
                                 fast_spec)
     assert abs(sample.value - 4j) < 1e-8
+
+
+def test_lens_pairs_to_i_times_its_area():
+    # two unit discs centred at 0 and 1: the general one-variable path, with
+    # clipped circles, activity masks and Newton-located corners; for f = 1
+    # the pairing with x dz is i * area = i (2 pi / 3 - sqrt(3) / 2)
+    discs = [{"kind": "disc", "center": [c, 0.0], "radius": 1.0}
+             for c in (0.0, 1.0)]
+    domain = domain_from_pieces(discs, 1)
+    assert domain.product_factors is None
+    cover = build_chart_cover(domain, locate_strata(domain))
+    psi = form_from_expressions("x", 1)
+    sample = pairing_at_epsilon(domain, rational_function("1", 1), psi,
+                                cover, 0.05, QuadratureSpec())
+    area = 2.0 * np.pi / 3.0 - np.sqrt(3.0) / 2.0
+    assert abs(sample.value - 1j * area) <= sample.err_est
 
 
 def test_stokes_oracle_constant_function(square_domain, x_form, fast_spec):

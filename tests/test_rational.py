@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from holobc.errors import ScenarioError
 from holobc.rational import (compile_node, conj_derivative, find_poles,
-                             holomorphic_derivative, parse_expression, to_text)
+                             parse_expression)
 
 
 def evaluate(text, z, dim=1, conjugates=False):
@@ -97,16 +97,6 @@ def test_conj_derivative_mixed_two_variables():
     assert np.allclose(d(z), 2 * 2.0 * (1.0 - 1.0j))
 
 
-def test_holomorphic_derivative_matches_finite_difference():
-    node = parse_expression("z^3/(z - 4)", 1)
-    d = compile_node(holomorphic_derivative(node, 0), 1)
-    f = compile_node(node, 1)
-    z0 = 0.6 + 0.3j
-    h = 1e-6
-    fd = (f(np.array([[z0 + h]])) - f(np.array([[z0 - h]]))) / (2 * h)
-    assert np.allclose(d(np.array([[z0]])), fd, atol=1e-7)
-
-
 def test_find_poles_with_orders():
     poles = find_poles(parse_expression("1/z^2", 1), 1)
     assert len(poles) == 1
@@ -124,18 +114,6 @@ def test_find_poles_with_orders():
 
 def test_polynomials_have_no_poles():
     assert find_poles(parse_expression("z^5 - 3*z + 2", 1), 1) == ()
-
-
-def test_to_text_round_trip_evaluates_equal():
-    texts = ["(z^2 + 1)/(z - 2)", "1/z^2", "-z + 3i", "z1*z2 + 2"]
-    dims = [1, 1, 1, 2]
-    for text, dim in zip(texts, dims):
-        node = parse_expression(text, dim)
-        again = parse_expression(to_text(node, dim), dim)
-        z = (np.array([[0.4 + 0.9j]]) if dim == 1
-             else np.array([[0.4 + 0.9j, -1.1 + 0.2j]]))
-        assert np.allclose(compile_node(node, dim)(z),
-                           compile_node(again, dim)(z))
 
 
 @settings(max_examples=30, deadline=None)
