@@ -219,9 +219,11 @@ def _run_sequences(scenario, args, write_csv: bool):
         fit = fit_models(samples)
         try:
             oracle = stokes_oracle(domain, f, psi, spec)
-        except NotL1Error:
-            # f is not integrable (or its volume integral did not settle), so
+        except (NotL1Error, BudgetExceededError) as err:
+            # f is not integrable, or its volume integral did not settle, so
             # the pairing has no Stokes oracle
+            print(f"holobc: no Stokes oracle for form {psi.label!r}: {err}",
+                  file=sys.stderr)
             oracle = None
         entry = {
             "label": psi.label,
@@ -300,7 +302,8 @@ def cmd_weinstock(args) -> int:
     closedness_tol = args.tol if args.tol is not None else 1e-8
     try:
         result = weinstock_test(domain, f, forms, force=args.force,
-                                closedness_tol=closedness_tol)
+                                closedness_tol=closedness_tol,
+                                make_cover=lambda: build_cover(scenario, domain))
     except FormNotClosedError as err:
         raise CommandFailure(EXIT_WEINSTOCK, str(err)) from err
     report = {

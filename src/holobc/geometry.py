@@ -144,15 +144,27 @@ class PiecewiseDomain:
         return np.concatenate(pts), np.concatenate(owners)
 
     def interior_point(self) -> np.ndarray:
-        """A point well inside the domain, found on a deterministic grid."""
+        """A point well inside the domain, found on a deterministic grid.
+
+        The grid is scanned one slab of its first axis at a time, so a 2-D
+        domain never holds all 39^4 points at once.  The strict comparison
+        across slabs keeps the first minimum in C order, the point a single
+        argmin over the whole grid picks.
+        """
         axes = [np.linspace(lo, hi, 41)[1:-1] for lo, hi in self.bounding_box]
-        grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        z = grid[:, 0::2] + 1j * grid[:, 1::2]
-        depth = np.max(self.rho_all(z), axis=0)
-        best = int(np.argmin(depth))
-        if depth[best] >= 0:
+        rest = np.stack([g.reshape(-1) for g in np.meshgrid(*axes[1:], indexing="ij")],
+                        axis=-1)
+        best_depth, best_z = np.inf, None
+        for x0 in axes[0]:
+            grid = np.concatenate([np.full((len(rest), 1), x0), rest], axis=1)
+            z = grid[:, 0::2] + 1j * grid[:, 1::2]
+            depth = np.max(self.rho_all(z), axis=0)
+            i = int(np.argmin(depth))
+            if depth[i] < best_depth:
+                best_depth, best_z = depth[i], z[i]
+        if best_depth >= 0:
             raise GeometryError("domain has empty interior")
-        return z[best]
+        return best_z
 
     def interior_points(self, count: int, margin: float = 0.0, seed: int = 0) -> np.ndarray:
         """Deterministic pseudo-random interior sample, rho <= -margin."""
@@ -854,6 +866,11 @@ def locate_strata(domain: PiecewiseDomain, grid_resolution: int | None = None
     with parallel faces settle at a least-squares point instead of failing.
     Samples are deduplicated on the grid scale and capped at
     ``_MAX_STRATUM_SAMPLES`` per stratum, deterministically.
+
+    Subsets run in increasing size, and a subset containing a smaller one
+    that found no samples is not solved: B_S lies in B_T for T inside S, its
+    seeds are among T's, and every root of S's equations is a root of T's.
+    It gets the stratum an empty solve gives.
     """
     n = domain.ambient_dim
     res = (28 if n == 1 else 10) if grid_resolution is None else grid_resolution
@@ -867,16 +884,21 @@ def locate_strata(domain: PiecewiseDomain, grid_resolution: int | None = None
                            for p in domain.pieces])
 
     strata = []
+    empty: set[tuple[int, ...]] = set()   # subsets that found no samples
     npieces = len(domain.pieces)
     for size in range(2, npieces + 1):
         for subset in itertools.combinations(range(npieces), size):
-            near = np.ones(len(zgrid), dtype=bool)
-            for j in subset:
-                near &= np.abs(rho_grid[j]) / grad_scale[j] < 1.8 * cell_diag
-            seeds = grid[near]
-            samples = _newton_solve(domain, subset, seeds) if len(seeds) else \
-                np.zeros((0, n), dtype=np.complex128)
-            samples = _dedupe(samples, 1.2 * cell_diag, _MAX_STRATUM_SAMPLES)
+            samples = np.zeros((0, n), dtype=np.complex128)
+            if not any(subset[:k] + subset[k + 1:] in empty for k in range(size)):
+                near = np.ones(len(zgrid), dtype=bool)
+                for j in subset:
+                    near &= np.abs(rho_grid[j]) / grad_scale[j] < 1.8 * cell_diag
+                seeds = grid[near]
+                if len(seeds):
+                    samples = _dedupe(_newton_solve(domain, subset, seeds),
+                                      1.2 * cell_diag, _MAX_STRATUM_SAMPLES)
+            if len(samples) == 0:
+                empty.add(subset)
             in_closure = np.array(
                 [bool(np.all(domain.rho_all(s[None, :]) <= 1e-7)) for s in samples],
                 dtype=bool) if len(samples) else np.zeros(0, dtype=bool)

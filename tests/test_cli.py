@@ -6,10 +6,13 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holobc import cli
 from holobc.cli import main
-from holobc.errors import HolobcError, NonFiniteIntegrandError
+from holobc.errors import (BudgetExceededError, HolobcError,
+                           NonFiniteIntegrandError)
 
 SQUARE_PIECES = [
     {"kind": "box-side", "axis": "x", "side": "min", "value": 0.0},
@@ -248,6 +251,65 @@ def test_exit_4_on_blocked_corner_direction(tmp_path, capsys):
                           cover={"corner_v_rotation": math.pi})
     assert main(["pair", "--scenario", path]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["pair", "weinstock"])
+def test_exit_4_on_blocked_corner_direction_of_the_epsilon_route(
+        tmp_path, capsys, command):
+    # 1/z^2 is not integrable, so weinstock takes the translated route and
+    # must build the scenario's cover, as pair does
+    path = write_scenario(tmp_path, "blocked-epsilon", function="1/z^2",
+                          forms=[{"coefficients": ["1"], "cutoff": None,
+                                  "label": "dz"}],
+                          cover={"corner_v_rotation": math.pi})
+    assert main([command, "--scenario", path]) == 4
+    assert "corner(0,0)" in capsys.readouterr().err
+
+
+def test_unconverged_stokes_oracle_is_reported_as_null(capsys, monkeypatch):
+    def starved(*args, **kwargs):
+        raise BudgetExceededError("volume integral did not converge")
+
+    monkeypatch.setattr(cli, "stokes_oracle", starved)
+    rc = main(["pair", "--scenario", "square_f=1", "--steps", "6"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    entry = json.loads(captured.out)["forms"][0]
+    assert entry["stokes_oracle"] is None
+    assert entry["limit_vs_oracle"] is None
+    assert "no Stokes oracle" in captured.err
+    assert "volume integral did not converge" in captured.err
+
+
+FLOAT_FLAG = st.floats().map(repr) | st.sampled_from(["nan", "inf", "-inf",
+                                                       "0", "1e-300"])
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["pair", "asymptotics", "classify"]),
+       tol=st.none() | FLOAT_FLAG,
+       eps0=st.none() | FLOAT_FLAG,
+       steps=st.none() | st.integers(-10, 10 ** 9).map(repr),
+       resolution=st.none() | st.integers(-10 ** 6, 40).map(repr))
+def test_fuzzed_flags_exit_with_a_documented_code(capsys, monkeypatch, command,
+                                                  tol, eps0, steps,
+                                                  resolution):
+    def fail_fast(*args, **kwargs):
+        raise BudgetExceededError("pairing patched out")
+
+    monkeypatch.setattr(cli, "pairing_sequence", fail_fast)
+    monkeypatch.setattr(cli, "build_cover", fail_fast)
+    if command == "classify":
+        # resolutions above 40 are left out: the seed grid has res^2 points
+        flags = {"--resolution": resolution}
+    else:
+        flags = {"--tol": tol, "--eps0": eps0, "--steps": steps}
+    argv = [command, "--scenario", "square_f=1"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()
+             if value is not None]
+    assert main(argv) in _documented_exit_codes()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_exit_5_on_budget_with_partial_csv(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Domains, corner strata, genericity verdicts, and chart covers."""
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from holobc import geometry
 from holobc.errors import GeometryError, NoOutwardVectorError, ScenarioError
-from holobc.geometry import (SmoothPiece, SupportBall, _gauss_newton_step,
+from holobc.geometry import (CornerStratum, SmoothPiece, StratumVerdict,
+                             SupportBall, _dedupe, _gauss_newton_step,
                              build_chart_cover, classify_stratum,
                              domain_from_pieces, locate_strata,
                              nearest_boundary_gap, validate_domain)
@@ -108,6 +112,96 @@ def test_verdicts_stable_under_rescaling(square_domain):
     base = active_verdicts(square_domain)
     scaled = active_verdicts(rescaled(square_domain, 3.0))
     assert base == scaled
+
+
+def solve_every_subset(domain, res):
+    """Each subset's stratum from its own grid seeds, solved whatever its
+    smaller subsets found, and the raw Newton roots behind it."""
+    axes = [np.linspace(lo, hi, res) for lo, hi in domain.bounding_box]
+    cell_diag = float(np.linalg.norm(
+        [(hi - lo) / (res - 1) for lo, hi in domain.bounding_box]))
+    grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+    zgrid = grid[:, 0::2] + 1j * grid[:, 1::2]
+    rho = domain.rho_all(zgrid)
+    grad_scale = [np.maximum(np.linalg.norm(p.grad_rho(zgrid), axis=-1), 1e-9)
+                  for p in domain.pieces]
+    out = {}
+    m = len(domain.pieces)
+    for subset in itertools.chain.from_iterable(
+            itertools.combinations(range(m), k) for k in range(2, m + 1)):
+        near = np.all([np.abs(rho[j]) / grad_scale[j] < 1.8 * cell_diag
+                       for j in subset], axis=0)
+        seeds = grid[near]
+        roots = geometry._newton_solve(domain, subset, seeds) if len(seeds) \
+            else np.zeros((0, domain.ambient_dim), dtype=np.complex128)
+        samples = _dedupe(roots, 1.2 * cell_diag, geometry._MAX_STRATUM_SAMPLES)
+        in_closure = np.array([bool(np.all(domain.rho_all(w[None, :]) <= 1e-7))
+                               for w in samples], dtype=bool)
+        raw = CornerStratum(subset, samples, in_closure, StratumVerdict.EMPTY)
+        out[subset] = (classify_stratum(domain, raw), roots)
+    return out
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.0])
+def test_strata_skip_only_subsets_without_roots(monkeypatch, factor):
+    domain = build_domain(load_scenario("square-cross-plane"))
+    if factor != 1.0:
+        domain = rescaled(domain, factor)
+    reference = solve_every_subset(domain, 10)
+    assert len(reference) == 26
+
+    solved = []
+    newton_solve = geometry._newton_solve
+
+    def counting(domain, subset, seeds):
+        solved.append(tuple(subset))
+        return newton_solve(domain, subset, seeds)
+
+    monkeypatch.setattr(geometry, "_newton_solve", counting)
+    strata = locate_strata(domain)
+    assert len(solved) == 14
+    # a skipped subset would have found no root from its own seeds
+    for subset, (_, roots) in reference.items():
+        if subset not in solved:
+            assert len(roots) == 0, subset
+    # and every stratum is the one its own solve gives, bit for bit
+    assert [st.subset for st in strata] == list(reference)
+    for st in strata:
+        want = reference[st.subset][0]
+        assert st.verdict == want.verdict
+        assert st.samples.shape == want.samples.shape
+        assert st.samples.tobytes() == want.samples.tobytes()
+        assert st.in_closure.tobytes() == want.in_closure.tobytes()
+        assert st.rank_data == want.rank_data
+
+
+def full_grid_interior_point(domain):
+    """The 39^(2n) grid of ``interior_point`` held at once, one argmin."""
+    axes = [np.linspace(lo, hi, 41)[1:-1] for lo, hi in domain.bounding_box]
+    grid = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+    z = grid[:, 0::2] + 1j * grid[:, 1::2]
+    return z[int(np.argmin(np.max(domain.rho_all(z), axis=0)))]
+
+
+@pytest.mark.parametrize("name", ["square", "bidisc", "square-cross-plane"])
+def test_interior_point_matches_the_full_grid(name):
+    domain = build_domain(load_scenario(name))
+    assert domain.interior_point().tobytes() == \
+        full_grid_interior_point(domain).tobytes()
+
+
+def test_interior_point_holds_one_slab_at_a_time():
+    domain = build_domain(load_scenario("square-cross-plane"))
+    tracemalloc.start()
+    try:
+        domain.interior_point()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole 39^4 grid with its copies took about 318 MiB
+    assert peak < 32 * 2 ** 20
 
 
 def _jacobian_batch(rng, m, rows, cols, parallel=0):

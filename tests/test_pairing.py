@@ -93,6 +93,18 @@ def test_lens_pairs_to_i_times_its_area():
     assert abs(sample.value - 1j * area) <= sample.err_est
 
 
+def test_stokes_oracle_refuses_an_unconverged_volume_integral():
+    # the lens has no volume patches, so the membership-clipped volume route
+    # spends its whole budget; its value must not pass as the oracle
+    discs = [{"kind": "disc", "center": [c, 0.0], "radius": 1.0}
+             for c in (0.0, 1.0)]
+    domain = domain_from_pieces(discs, 1)
+    with pytest.raises(BudgetExceededError, match="Stokes volume integral"):
+        stokes_oracle(domain, rational_function("1", 1),
+                      form_from_expressions("x", 1),
+                      QuadratureSpec(max_subdivisions=50))
+
+
 def test_stokes_oracle_constant_function(square_domain, x_form, fast_spec):
     f = rational_function("1", 1)
     oracle = stokes_oracle(square_domain, f, x_form, fast_spec)
