@@ -24,16 +24,14 @@ from . import __version__
 from .asymptotics import (I_PLUS_LOG_LIMIT, II_LIMIT_CLAIMED, II_LIMIT_DERIVED,
                           MIN_FIT_SAMPLES, classify_bc_existence, closed_form_I,
                           closed_form_II, closed_form_segment, fit_as_dict,
-                          fit_models, integrand_II, richardson_limit,
-                          verify_antiderivatives)
+                          fit_models, richardson_limit, verify_antiderivatives)
 from .errors import (BudgetExceededError, FormNotClosedError, GeometryError,
                      HolobcError, NonFiniteIntegrandError, NoOutwardVectorError,
                      NotL1Error, PoleInsideError, PoleOnBoundaryError,
                      ScenarioError, TooFewSamplesError)
 from .functions import boundary_poles, estimate_growth
-from .geometry import classify_stratum, locate_strata, validate_domain
+from .geometry import locate_strata, validate_domain
 from .pairing import pairing_sequence, stokes_oracle, weinstock_test
-from .quadrature import QuadratureSpec, SpecialPoint, adaptive_integrate
 from .scenario import (Scenario, build_cover, build_domain, build_forms,
                        build_function, build_quadrature, build_schedule,
                        load_scenario, scenario_to_dict)
@@ -140,8 +138,7 @@ def _require_forms(scenario: Scenario):
 
 def _stratum_rows(domain, resolution) -> list[dict]:
     rows = []
-    for stratum in locate_strata(domain, grid_resolution=resolution):
-        done = classify_stratum(domain, stratum)
+    for done in locate_strata(domain, grid_resolution=resolution):
         usable = done.samples[done.in_closure] if len(done.samples) else done.samples
         rep = _c2(None)
         if len(usable):
@@ -361,19 +358,6 @@ def cmd_growth(args) -> int:
 
 # -- reproduce-paper ----------------------------------------------------------
 
-def _quad_II(eps: float) -> float:
-    """Direct quadrature of the second closed-form integral at one epsilon."""
-    spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=40_000)
-
-    def integrand(params):
-        x = params[:, 0].real
-        return 2.0 * eps * integrand_II(x, eps) + 0.0j
-
-    result = adaptive_integrate(integrand, ((0.0, 1.0),), spec,
-                                [SpecialPoint(np.array([0.0 + 0.0j]), 10 * eps)])
-    return float(result.value.real)
-
-
 def cmd_reproduce_paper(args) -> int:
     """End-to-end rerun: corner classification, antiderivative audit,
     closed-form tables, the divergent pairing, and the product-domain
@@ -454,10 +438,10 @@ def cmd_reproduce_paper(args) -> int:
     check("combined verdict: no boundary current",
           entry["existence"] == "FAILS_NUMERICALLY", entry["existence"])
 
-    # 5. Richardson limit of II against direct quadrature
+    # 5. Richardson limit of II against the audit's direct quadrature
     seq = [closed_form_II(0.1 * 0.5 ** k) for k in range(11)]
     limit = float(np.real(richardson_limit(seq[-4:], 0.5)))
-    q = _quad_II(1e-4)
+    q = float(arb["quadrature_value"])
     check("II quadrature at eps = 1e-4 near its Richardson limit",
           abs(q - limit) < 1e-3,
           f"quadrature {q:.6f}, limit {limit:.6f}, transcribed "

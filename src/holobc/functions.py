@@ -168,9 +168,6 @@ class GrowthEstimate:
     r2: float
     samples_used: int
     target: PoleDescriptor | None = None
-    anchor: np.ndarray | None = None   # (n,) complex boundary point approached
-    distances: np.ndarray | None = None
-    sup_values: np.ndarray | None = None
 
 
 def _inward_direction(domain: PiecewiseDomain, z0: np.ndarray) -> np.ndarray:
@@ -252,7 +249,7 @@ def estimate_growth(f: HolomorphicFunction, domain: PiecewiseDomain,
         sups[i] = float(np.max(np.abs(f(probes[inside]))))
     good = sups > 0
     if np.count_nonzero(good) < 3:
-        return GrowthEstimate(0.0, 1.0, 1.0, used, target, anchor, distances, sups)
+        return GrowthEstimate(0.0, 1.0, 1.0, used, target)
     x = np.log(1.0 / distances[good])
     y = np.log(sups[good])
     slope, intercept = np.polyfit(x, y, 1)
@@ -262,4 +259,4 @@ def estimate_growth(f: HolomorphicFunction, domain: PiecewiseDomain,
     if var < 1e-30:
         slope = 0.0
     return GrowthEstimate(float(max(slope, 0.0)), float(np.exp(intercept)),
-                          r2, used, target, anchor, distances, sups)
+                          r2, used, target)

@@ -1052,46 +1052,38 @@ class SupportBall:
 class TranslationChart:
     """A chart region with one constant translation direction.
 
-    ``weight`` is the raw (unnormalized) bump; the cover normalizes pointwise.
-    The margin (minimal outward derivative over the supported boundary) is
-    filled in by validation.
+    The chart's raw (unnormalized) bump lives in its cover's factors.  The
+    margin (minimal outward derivative over the supported boundary) is filled
+    in by validation.
     """
 
     region: SupportBall
     v: np.ndarray                 # (n,) complex
-    weight: Callable[[np.ndarray], np.ndarray]
     label: str
     margin: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChartCover:
     """Translation charts whose raw bumps, normalized pointwise, sum to one.
 
     Each chart's raw weight is a product of shared weight factors:
     ``chart_factors[i]`` lists the indices into ``factors`` whose product, in
-    that order, is ``charts[i].weight``.  A one-variable chart has one factor,
-    its own bump.  A product chart has two, the profiles of z1 and z2, and
-    most of them recur across charts (the 48 charts of a bidisc share 14
-    factors).  ``raw_weights`` and ``partition_weight`` evaluate every factor
-    once per call and sum the chart products in chart order, so the result is
-    the same floats as evaluating each chart's ``weight`` on its own.  Left
-    empty, the factors default to the charts' own weights.
+    that order, is chart i's raw weight.  A one-variable chart has one
+    factor, its own bump.  A product chart has two, the profiles of z1 and
+    z2, and most of them recur across charts (the 48 charts of a bidisc share
+    14 factors).  ``chart_weights``, ``raw_weights`` and ``partition_weight``
+    evaluate every factor once per call and form the chart products in chart
+    order; no other route evaluates a chart's weight.
     """
 
-    domain: PiecewiseDomain
     charts: tuple[TranslationChart, ...]
-    factors: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
-    chart_factors: tuple[tuple[int, ...], ...] = ()
+    factors: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    chart_factors: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not self.factors:
-            self.factors = tuple(c.weight for c in self.charts)
-            self.chart_factors = tuple((i,) for i in range(len(self.charts)))
-
-    def _chart_weights(self, z: np.ndarray):
-        """Every chart's raw weight at z in chart order, each factor
-        evaluated once."""
+    def chart_weights(self, z: np.ndarray):
+        """Every chart's raw weight at z in chart order, one (m,) array at a
+        time, each factor evaluated once."""
         values = [factor(z) for factor in self.factors]
         for indices in self.chart_factors:
             w = values[indices[0]]
@@ -1100,7 +1092,7 @@ class ChartCover:
             yield w
 
     def raw_weights(self, z: np.ndarray) -> np.ndarray:
-        return np.stack(list(self._chart_weights(z)))
+        return np.stack(list(self.chart_weights(z)))
 
     def partition_weight(self, index, z: np.ndarray) -> np.ndarray:
         """Normalized partition weights, zero off each chart's support.
@@ -1111,7 +1103,7 @@ class ChartCover:
         indices = np.atleast_1d(np.asarray(index, dtype=int))
         own = np.empty((len(indices), len(z)))   # chart-major: rows are contiguous
         total = np.zeros(len(z))
-        for i, w in enumerate(self._chart_weights(z)):
+        for i, w in enumerate(self.chart_weights(z)):
             total += w
             own[indices == i] = w
         # own is 0 wherever total is, so those points keep weight 0
@@ -1125,23 +1117,23 @@ def _fine_boundary_grid(domain: PiecewiseDomain) -> tuple[np.ndarray, np.ndarray
     return domain.boundary_samples(per_axis=per_axis)
 
 
-def chart_margin(domain: PiecewiseDomain, chart: TranslationChart,
+def chart_margin(domain: PiecewiseDomain, v: np.ndarray, weights: np.ndarray,
                  pts: np.ndarray, owners: np.ndarray) -> float:
-    """Min directional derivative along v of every rho active in the support.
+    """Min directional derivative along v of every rho active in a support.
 
-    ``pts``/``owners`` is a dense boundary sample; a piece counts as active
-    when the chart's weight is positive at one of its face points.  A chart
-    positive at fewer than 20 of the points has no margin (inf).
+    ``pts``/``owners`` is a dense boundary sample and ``weights`` the chart's
+    raw weight there (its row of ``ChartCover.raw_weights(pts)``); a piece
+    counts as active when the weight is positive at one of its face points.
+    A chart positive at fewer than 20 of the points has no margin (inf).
     """
-    w = chart.weight(pts)
-    keep = w > 0.0
+    keep = weights > 0.0
     if int(np.count_nonzero(keep)) < 20:
         return np.inf  # support misses the boundary (interior-plateau charts)
     pts = pts[keep]
     owners = owners[keep]
     vreal = np.empty(2 * domain.ambient_dim)
-    vreal[0::2] = chart.v.real
-    vreal[1::2] = chart.v.imag
+    vreal[0::2] = v.real
+    vreal[1::2] = v.imag
     margin = np.inf
     for j, piece in enumerate(domain.pieces):
         mine = pts[owners == j]
@@ -1152,26 +1144,27 @@ def chart_margin(domain: PiecewiseDomain, chart: TranslationChart,
     return margin
 
 
-def build_chart_cover(domain: PiecewiseDomain, strata: Sequence[CornerStratum],
-                      radius: float = 0.3, strip_overlap: float = 0.2,
-                      arcs_per_circle: int = 6, corner_v_rotation: float = 0.0
-                      ) -> ChartCover:
+def build_chart_cover(domain: PiecewiseDomain, radius: float = 0.3,
+                      strip_overlap: float = 0.2, arcs_per_circle: int = 6,
+                      corner_v_rotation: float = 0.0) -> ChartCover:
     """Cover the boundary with corner balls and face strips.
 
-    One-variable domains get a ball around every in-closure corner sample
-    (v = normalized sum of the active outward normals, optionally rotated)
-    and trapezoid strips along each face that die off before reaching any
-    corner.  Product domains in two variables get boundary tiles of each
-    factor crossed with an interior plateau of the other factor, plus tiles
-    for the pairwise corner strata with the averaged direction.  The cover
-    is validated (coverage, partition of unity, outward margins) before it
-    is returned.
+    One-variable domains get a ball around every in-closure corner sample of
+    ``locate_strata(domain)`` (v = normalized sum of the active outward
+    normals, optionally rotated) and trapezoid strips along each face that
+    die off before reaching any corner; each chart's bump is its own weight
+    factor.  Product domains in two variables locate no strata: their charts
+    are boundary tiles of each factor crossed with an interior plateau of
+    the other factor, plus tiles for the pairwise corner strata with the
+    averaged direction, weighted by products of shared factor profiles.  The
+    cover is validated (coverage, partition of unity, outward margins)
+    before it is returned.
     """
     if domain.ambient_dim == 2:
         cover = _cover_product(domain, radius, strip_overlap, arcs_per_circle,
                                corner_v_rotation)
     else:
-        cover = _cover_1d(domain, strata, radius, strip_overlap, arcs_per_circle,
+        cover = _cover_1d(domain, radius, strip_overlap, arcs_per_circle,
                           corner_v_rotation)
     _check_cover(domain, cover, radius)
     return cover
@@ -1198,12 +1191,13 @@ def _corner_direction(domain: PiecewiseDomain, subset, point: np.ndarray,
     return v
 
 
-def _cover_1d(domain, strata, radius, strip_overlap, arcs_per_circle,
+def _cover_1d(domain, radius, strip_overlap, arcs_per_circle,
               rotation) -> ChartCover:
     charts: list[TranslationChart] = []
+    bumps: list[Callable[[np.ndarray], np.ndarray]] = []
     corner_pts: list[complex] = []
     # one chart per corner location; the largest piece subset there wins
-    by_size = sorted((st for st in strata if len(st.subset) >= 2 and len(st.samples)),
+    by_size = sorted((st for st in locate_strata(domain) if len(st.samples)),
                      key=lambda st: -len(st.subset))
     for st in by_size:
         for s, ok in zip(st.samples, st.in_closure):
@@ -1217,20 +1211,23 @@ def _cover_1d(domain, strata, radius, strip_overlap, arcs_per_circle,
             prof = RadialProfile(radius / 2.0, radius)
             charts.append(TranslationChart(
                 SupportBall(np.array([c]), radius), v,
-                lambda z, c=c, prof=prof: prof(np.abs(z[..., 0] - c)),
                 f"corner({c.real:.3g},{c.imag:.3g})"))
+            bumps.append(lambda z, c=c, prof=prof: prof(np.abs(z[..., 0] - c)))
 
     transverse = RadialProfile(radius / 3.0, 2.0 * radius / 3.0)
     dead = radius / 3.0
     plat = radius * (0.5 + 0.5 * min(max(strip_overlap, 0.05), 0.45))
     for piece_idx, piece in enumerate(domain.pieces):
         for patch in piece.patches:
-            charts.extend(_strips_for_curve_patch(
-                domain, piece_idx, patch, corner_pts, radius, dead, plat,
-                transverse, arcs_per_circle, rotation))
+            for chart, bump in _strips_for_curve_patch(
+                    domain, piece_idx, patch, corner_pts, radius, dead, plat,
+                    transverse, arcs_per_circle, rotation):
+                charts.append(chart)
+                bumps.append(bump)
     if not charts:
         raise GeometryError("empty chart cover")
-    return ChartCover(domain, tuple(charts))
+    return ChartCover(tuple(charts), tuple(bumps),
+                      tuple((i,) for i in range(len(charts))))
 
 
 def _strips_for_curve_patch(domain, piece_idx, patch, corner_pts, radius,
@@ -1293,18 +1290,20 @@ def _strips_for_curve_patch(domain, piece_idx, patch, corner_pts, radius,
         def bump(zpts, prof=prof, patch=patch, t0=t0, t1=t1, sa=sa, sb=sb):
             t = _curve_param_of(patch, zpts[..., 0], t0, t1)
             if patch.periodic:
-                # lift across the seam when the segment extends past t1
-                lift = (t + (t1 - t0) >= sa) & (t + (t1 - t0) <= sb)
-                t = np.where(lift, t + (t1 - t0), t)
+                # move t across the seam when the segment extends past t1
+                # or starts below t0; a segment is shorter than the period
+                up = (t + period >= sa) & (t + period <= sb)
+                down = (t - period >= sa) & (t - period <= sb)
+                t = np.where(up, t + period, np.where(down, t - period, t))
             on_curve = patch.param_map(
                 _wrap(t, t0, t1, patch.periodic)[:, None])[:, 0]
             d = np.abs(on_curve - zpts[..., 0])
             return prof(t) * transverse(d)
 
         half_len = 0.5 * (sb - sa) * sp
-        out.append(TranslationChart(
+        out.append((TranslationChart(
             SupportBall(zmid, float(np.hypot(half_len, radius)) + 1e-9),
-            v, bump, f"strip[{patch.label}:{mid:.3g}]"))
+            v, f"strip[{patch.label}:{mid:.3g}]"), bump))
     return out
 
 
@@ -1372,8 +1371,7 @@ def _cover_product(domain, radius, strip_overlap, arcs_per_circle,
     chart_factors: list[tuple[int, int]] = []
 
     def add(region, v, a, b, label):
-        fa, fb = factors[a], factors[b]
-        charts.append(TranslationChart(region, v, lambda z: fa(z) * fb(z), label))
+        charts.append(TranslationChart(region, v, label))
         chart_factors.append((a, b))
 
     for i, t in enumerate(tiles0):  # factor-0 boundary x factor-1 interior
@@ -1389,8 +1387,7 @@ def _cover_product(domain, radius, strip_overlap, arcs_per_circle,
                               float(np.hypot(ta.radius, tb.radius)) + 1e-9),
                 np.array([ta.v * inv_sqrt2, tb.v * inv_sqrt2], complex),
                 i, i_tiles1 + j, f"edge:{ta.label}x{tb.label}")
-    return ChartCover(domain, tuple(charts), factors=tuple(factors),
-                      chart_factors=tuple(chart_factors))
+    return ChartCover(tuple(charts), tuple(factors), tuple(chart_factors))
 
 
 def _check_cover(domain: PiecewiseDomain, cover: ChartCover, radius: float) -> None:
@@ -1426,8 +1423,8 @@ def _check_cover(domain: PiecewiseDomain, cover: ChartCover, radius: float) -> N
     if defect > 1e-10:
         raise GeometryError(f"partition of unity defect {defect:.2e}")
     fine_pts, fine_owners = _fine_boundary_grid(domain)
-    for chart in cover.charts:
-        chart.margin = chart_margin(domain, chart, fine_pts, fine_owners)
+    for chart, w in zip(cover.charts, cover.chart_weights(fine_pts)):
+        chart.margin = chart_margin(domain, chart.v, w, fine_pts, fine_owners)
         if chart.margin <= 0.0:
             raise NoOutwardVectorError(
                 f"chart {chart.label} has non-positive outward margin {chart.margin:.3g}")

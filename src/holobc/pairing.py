@@ -21,7 +21,7 @@ from .errors import (BudgetExceededError, FormNotClosedError, NotL1Error,
                      PoleOnBoundaryError, ScenarioError)
 from .functions import HolomorphicFunction, boundary_poles
 from .geometry import (ChartCover, PiecewiseDomain, SupportBall,
-                       TranslationChart, build_chart_cover, locate_strata,
+                       TranslationChart, build_chart_cover,
                        nearest_boundary_gap)
 from .quadrature import (IntegralResult, QuadratureSpec, SpecialPoint,
                          combine_results, integrate_face, integrate_volume)
@@ -269,31 +269,38 @@ def _boundary_patches(domain: PiecewiseDomain):
 
 
 def _translated_pole_guard(domain: PiecewiseDomain, f: HolomorphicFunction,
-                           chart: TranslationChart, eps: float,
+                           cover: ChartCover, eps: float,
                            guard_pts: np.ndarray | None) -> None:
-    """Raise POLE_ON_BOUNDARY only when a shifted pole meets supp(chi) on bdry.
+    """Raise PoleOnBoundaryError only when a shifted pole meets supp(chi_i)
+    on the boundary, for some chart i.
 
-    A pole landing on a face where this chart's weight vanishes is harmless:
+    A pole landing on a face where a chart's weight vanishes is harmless:
     the weight-first masking keeps the integrand finite there.  In one
-    variable the chart's weight at the shifted pole is tested first: it is
-    zero for most charts and far cheaper than the boundary gap.
+    variable each chart's weight at its own shifted pole is tested first: it
+    is zero for most charts and far cheaper than the boundary gap; the cover
+    is evaluated once per pole, at every chart's shifted pole.  In two
+    variables it is evaluated once, at ``guard_pts``.
     """
     tol = 1e-9
-    for pole in f.pole_locus:
-        q_var = pole.location + eps * complex(chart.v[pole.var])
-        if domain.ambient_dim == 1:
-            q = np.array([[q_var]])
-            if chart.weight(q)[0] > 0.0 and nearest_boundary_gap(domain, q[0]) <= tol:
-                raise PoleOnBoundaryError(
-                    f"chart {chart.label!r}: pole of {f.label or 'f'} shifted "
-                    f"to {q_var:.3e} lies on the supported boundary at "
-                    f"eps={eps:.3e}")
-        else:
-            if guard_pts is None or len(guard_pts) == 0:
-                continue
-            hot = chart.weight(guard_pts) > 0.0
-            if not np.any(hot):
-                continue
+    charts = cover.charts
+    if domain.ambient_dim == 1:
+        for pole in f.pole_locus:
+            q = pole.location + eps * np.array([chart.v[0] for chart in charts])
+            for i, w in enumerate(cover.chart_weights(q[:, None])):
+                if w[i] > 0.0 and nearest_boundary_gap(domain, q[i:i + 1]) <= tol:
+                    raise PoleOnBoundaryError(
+                        f"chart {charts[i].label!r}: pole of {f.label or 'f'} "
+                        f"shifted to {q[i]:.3e} lies on the supported boundary "
+                        f"at eps={eps:.3e}")
+        return
+    if guard_pts is None or len(guard_pts) == 0 or not f.pole_locus:
+        return
+    for chart, w in zip(charts, cover.chart_weights(guard_pts)):
+        hot = w > 0.0
+        if not np.any(hot):
+            continue
+        for pole in f.pole_locus:
+            q_var = pole.location + eps * complex(chart.v[pole.var])
             gaps = np.abs(guard_pts[hot][:, pole.var] - q_var)
             if float(np.min(gaps)) <= tol:
                 raise PoleOnBoundaryError(
@@ -366,7 +373,7 @@ def pairing_at_epsilon(domain: PiecewiseDomain, f: HolomorphicFunction,
     for chart in charts:
         if chart.margin is not None and chart.margin <= 0:
             raise ScenarioError(f"chart {chart.label!r} has nonpositive margin")
-        _translated_pole_guard(domain, f, chart, eps, guard_pts)
+    _translated_pole_guard(domain, f, cover, eps, guard_pts)
     shifts = eps * np.array([chart.v for chart in charts])
     values = np.zeros(len(charts), dtype=np.complex128)
     errs = np.zeros(len(charts))
@@ -461,7 +468,7 @@ def pairing_sequence(domain: PiecewiseDomain, f: HolomorphicFunction,
 
 def integrability_scale(domain: PiecewiseDomain, f: HolomorphicFunction,
                         spec: QuadratureSpec | None = None) -> float:
-    """Budgeted int_Omega |f| dV; raises NOT_L1 when f is not integrable.
+    """Budgeted int_Omega |f| dV; raises NotL1Error when f is not integrable.
 
     Boundary poles of order >= 2 are screened out first: near a pole of
     order k the radial profile int r^(1-k) dr diverges for k >= 2, in one
@@ -656,9 +663,10 @@ def weinstock_test(domain: PiecewiseDomain, f, form_family: Sequence[TestForm],
     ``f`` is a HolomorphicFunction or a list of FaceDistribution.  The route
     per form: face restrictions when f extends continuously, the volume
     (Stokes) route when f is merely integrable, the translated-epsilon route
-    otherwise.  Forms failing the dbar = 0 precondition raise FORM_NOT_CLOSED
-    unless ``force`` is set, in which case their pairing is computed anyway
-    and reported next to the volume oracle int_Omega dbar(psi)-density.
+    otherwise.  Forms failing the dbar = 0 precondition raise
+    FormNotClosedError unless ``force`` is set, in which case their pairing
+    is computed anyway and reported next to the volume oracle
+    int_Omega dbar(psi)-density.
     Closedness is sampled up to 1% of the diameter outside the closure.
     ``make_cover`` builds the chart cover of the translated-epsilon route
     (default: ``build_chart_cover`` with its default settings); it is called
@@ -704,7 +712,7 @@ def weinstock_test(domain: PiecewiseDomain, f, form_family: Sequence[TestForm],
 
     if route == "epsilon":
         cover = make_cover() if make_cover is not None else \
-            build_chart_cover(domain, locate_strata(domain))
+            build_chart_cover(domain)
     entries = []
     total_cells = 0
     for k, form in enumerate(form_family):

@@ -9,6 +9,7 @@ what round-trips, compares, and lands in reports.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ScenarioError
 from .functions import HolomorphicFunction, rational_function
 from .geometry import (ChartCover, PiecewiseDomain, build_chart_cover,
-                       domain_from_pieces, locate_strata)
+                       domain_from_pieces)
 from .pairing import PairingSchedule, TestForm, form_from_expressions, plateau_cutoff
 from .quadrature import QuadratureSpec
 
@@ -253,6 +254,10 @@ def parse_scenario(data: Any) -> Scenario:
         raise ScenarioError("schedule: ratio must lie in (0, 1)")
     if schedule["eps0"] <= 0.0:
         raise ScenarioError("schedule: eps0 must be positive")
+    cover = _merge_defaults(data.get("cover"), _COVER_DEFAULTS, "cover")
+    if not (math.isfinite(cover["radius"]) and cover["radius"] > 0.0):
+        raise ScenarioError("cover.radius must be positive and finite, got "
+                            f"{cover['radius']}")
     return Scenario(
         name=name,
         ambient_dim=ambient_dim,
@@ -262,7 +267,7 @@ def parse_scenario(data: Any) -> Scenario:
         schedule=schedule,
         quadrature=_merge_defaults(data.get("quadrature"), _QUADRATURE_DEFAULTS,
                                    "quadrature"),
-        cover=_merge_defaults(data.get("cover"), _COVER_DEFAULTS, "cover"),
+        cover=cover,
         growth=_merge_defaults(data.get("growth"), _GROWTH_DEFAULTS, "growth"),
         label=str(data.get("label", "")),
     )
@@ -406,7 +411,7 @@ def build_quadrature(scenario: Scenario,
 
 def build_cover(scenario: Scenario, domain: PiecewiseDomain) -> ChartCover:
     cov = scenario.cover
-    return build_chart_cover(domain, locate_strata(domain), radius=cov["radius"],
+    return build_chart_cover(domain, radius=cov["radius"],
                              strip_overlap=cov["strip_overlap"],
                              arcs_per_circle=cov["arcs_per_circle"],
                              corner_v_rotation=cov["corner_v_rotation"])

@@ -19,8 +19,8 @@ def square_strata(square_domain):
 
 
 @pytest.fixture(scope="session")
-def square_cover(square_domain, square_strata):
-    return build_chart_cover(square_domain, square_strata)
+def square_cover(square_domain):
+    return build_chart_cover(square_domain)
 
 
 @pytest.fixture(scope="session")

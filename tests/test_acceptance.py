@@ -170,10 +170,10 @@ def test_criterion_06_corner_classification_is_scale_stable(square_domain,
                    f"{elapsed:.1f}s")
 
 
-def test_criterion_07_cover_independence(square_domain, square_strata,
-                                         square_cover, x_form, fast_spec):
+def test_criterion_07_cover_independence(square_domain, square_cover, x_form,
+                                         fast_spec):
     f = rational_function("1/z", 1)
-    other = build_chart_cover(square_domain, square_strata, radius=0.24,
+    other = build_chart_cover(square_domain, radius=0.24,
                               corner_v_rotation=math.pi / 12)
     limits = []
     for cover in (square_cover, other):

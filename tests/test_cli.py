@@ -237,6 +237,14 @@ def test_exit_8_on_non_finite_integrand(capsys, monkeypatch):
     assert "non-finite integrand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", [0, -0.3, math.inf])
+def test_exit_2_on_non_positive_cover_radius(tmp_path, capsys, radius):
+    path = write_scenario(tmp_path, "flat-cover", cover={"radius": radius})
+    assert main(["pair", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert "cover.radius" in err and "Traceback" not in err
+
+
 def test_exit_3_on_bad_geometry(tmp_path, capsys):
     pieces = [dict(p) for p in SQUARE_PIECES]
     pieces[0]["value"], pieces[1]["value"] = 2.0, 0.0

@@ -280,15 +280,14 @@ def test_inward_translation_enters_the_domain_on_support(square_domain,
         assert np.all(square_domain.contains(hot - eps * chart.v, tol=1e-12))
 
 
-def test_reversed_corner_directions_caught(square_domain, square_strata):
+def test_reversed_corner_directions_caught(square_domain):
     with pytest.raises(NoOutwardVectorError):
-        build_chart_cover(square_domain, square_strata,
-                          corner_v_rotation=math.pi)
+        build_chart_cover(square_domain, corner_v_rotation=math.pi)
 
 
-def test_two_valid_covers_differ(square_domain, square_strata, square_cover):
-    other = build_chart_cover(square_domain, square_strata,
-                              radius=0.24, corner_v_rotation=math.pi / 12)
+def test_two_valid_covers_differ(square_domain, square_cover):
+    other = build_chart_cover(square_domain, radius=0.24,
+                              corner_v_rotation=math.pi / 12)
     assert len(other.charts) >= 4
     key = lambda w: (round(w.real, 9), round(w.imag, 9))
     v_base = sorted((complex(c.v[0]) for c in square_cover.charts
@@ -304,20 +303,53 @@ def test_support_ball_overlap_predicate():
     assert not ball.might_contain(np.array([3.0 + 0.0j]), 0.5)
 
 
-def test_bidisc_cover_tiles_both_factors(bidisc_domain):
-    strata = [classify_stratum(bidisc_domain, st)
-              for st in locate_strata(bidisc_domain, grid_resolution=6)]
-    cover = build_chart_cover(bidisc_domain, strata)
+def test_bidisc_cover_tiles_both_factors(bidisc_domain, bidisc_cover):
     pts, _ = bidisc_domain.boundary_samples(per_axis=12)
     total = np.zeros(len(pts))
-    for i in range(len(cover.charts)):
-        total += cover.partition_weight(i, pts)
+    for i in range(len(bidisc_cover.charts)):
+        total += bidisc_cover.partition_weight(i, pts)
     assert np.max(np.abs(total - 1.0)) < 1e-10
 
 
 @pytest.fixture(scope="module")
 def bidisc_cover(bidisc_domain):
-    return build_chart_cover(bidisc_domain, [])
+    return build_chart_cover(bidisc_domain)
+
+
+@pytest.mark.parametrize("name", ["bidisc", "square-cross-plane"])
+def test_product_cover_locates_no_strata(monkeypatch, name):
+    # a product cover is built from its factors' tiles; corner strata are
+    # never read, so they are never located
+    domain = build_domain(load_scenario(name))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product cover located strata")
+
+    monkeypatch.setattr(geometry, "locate_strata", refuse)
+    cover = build_chart_cover(domain)
+    assert all(chart.margin > 0.0 for chart in cover.charts)
+
+
+@pytest.mark.parametrize("which", ["square", "bidisc"])
+def test_chart_margins_come_from_the_cover_weights(request, which):
+    domain = request.getfixturevalue(f"{which}_domain")
+    cover = request.getfixturevalue(f"{which}_cover")
+    pts, owners = geometry._fine_boundary_grid(domain)
+    for chart, w in zip(cover.charts, cover.raw_weights(pts)):
+        assert chart.margin == geometry.chart_margin(domain, chart.v, w, pts,
+                                                     owners)
+
+
+def test_arc_strip_weights_are_continuous_across_the_seam():
+    # a lone circle is cut into arcs with no corner; the first arc's support
+    # starts below the seam at theta = 0, the last one ends above it
+    disc = domain_from_pieces([{"kind": "disc", "center": [0.0, 0.0],
+                                "radius": 1.0}], 1)
+    cover = build_chart_cover(disc)
+    z = np.exp(1j * np.array([-1e-6, 1e-6]))[:, None]
+    weights = cover.partition_weight(range(len(cover.charts)), z)
+    assert np.max(weights[0]) > 0.4
+    assert np.allclose(weights[0], weights[1], atol=1e-4)
 
 
 def near_boundary_points(domain, per_axis, offset):
@@ -341,19 +373,23 @@ def test_shared_factor_weights_match_per_chart_evaluation(request, which):
     cover = request.getfixturevalue(f"{which}_cover")
     z = near_boundary_points(domain, 96 if which == "square" else 512,
                              0.035)
-    weights = [chart.weight(z) for chart in cover.charts]
-    assert np.array_equal(cover.raw_weights(z), np.stack(weights))
-    for i, (chart, indices) in enumerate(zip(cover.charts,
-                                             cover.chart_factors)):
-        product = cover.factors[indices[0]](z)
-        for k in indices[1:]:
-            product = product * cover.factors[k](z)
-        assert np.array_equal(weights[i], product)
 
+    def chart_weight(i, pts):
+        """Chart i's raw weight: its factor product, evaluated on its own."""
+        indices = cover.chart_factors[i]
+        product = cover.factors[indices[0]](pts)
+        for k in indices[1:]:
+            product = product * cover.factors[k](pts)
+        return product
+
+    charts = range(len(cover.charts))
+    weights = [chart_weight(i, z) for i in charts]
+    assert np.array_equal(cover.raw_weights(z), np.stack(weights))
+    for i in charts:
         hot = weights[i] > 0.0
         total = np.zeros(np.count_nonzero(hot))
-        for other in cover.charts:
-            total += other.weight(z[hot])
+        for other in charts:
+            total += chart_weight(other, z[hot])
         expected = np.zeros(len(z))
         expected[hot] = weights[i][hot] / total
         assert np.array_equal(cover.partition_weight(i, z), expected)
@@ -380,5 +416,5 @@ def test_bidisc_chart_weights_are_tile_products(bidisc_domain, bidisc_cover):
     assert len(bidisc_cover.charts) == len(pairs) == 48
     assert len(bidisc_cover.factors) == 14
     z = near_boundary_points(bidisc_domain, 512, 0.035)
-    for chart, (p0, p1) in zip(bidisc_cover.charts, pairs):
-        assert np.array_equal(chart.weight(z), p0(z[:, 0]) * p1(z[:, 1]))
+    for w, (p0, p1) in zip(bidisc_cover.raw_weights(z), pairs):
+        assert np.array_equal(w, p0(z[:, 0]) * p1(z[:, 1]))

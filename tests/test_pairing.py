@@ -9,7 +9,7 @@ from holobc.errors import (BudgetExceededError, FormNotClosedError,
 from holobc.functions import rational_function
 from holobc.geometry import (ChartCover, SupportBall, TranslationChart,
                              build_chart_cover, chart_margin,
-                             domain_from_pieces, locate_strata)
+                             domain_from_pieces)
 from holobc.pairing import (FaceDistribution, PairingSchedule,
                             calibrate_stokes_sign, check_form,
                             face_distribution_pairing, face_restrictions,
@@ -62,10 +62,10 @@ def test_outward_defect_zero_on_flat_faces(square_domain, square_cover):
     # grad(rho) . v is constant on a flat face: 1 along a strip's normal,
     # 1/sqrt(2) on both faces of a corner for its diagonal direction
     pts, owners = square_domain.boundary_samples(per_axis=512)
-    for chart in square_cover.charts:
+    for chart, w in zip(square_cover.charts, square_cover.raw_weights(pts)):
         expected = 0.5 ** 0.5 if chart.label.startswith("corner") else 1.0
         assert chart.margin == pytest.approx(expected, abs=1e-12)
-        assert chart_margin(square_domain, chart, pts, owners) == \
+        assert chart_margin(square_domain, chart.v, w, pts, owners) == \
             pytest.approx(expected, abs=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_lens_pairs_to_i_times_its_area():
              for c in (0.0, 1.0)]
     domain = domain_from_pieces(discs, 1)
     assert domain.product_factors is None
-    cover = build_chart_cover(domain, locate_strata(domain))
+    cover = build_chart_cover(domain)
     psi = form_from_expressions("x", 1)
     sample = pairing_at_epsilon(domain, rational_function("1", 1), psi,
                                 cover, 0.05, QuadratureSpec())
@@ -174,9 +174,10 @@ def test_translated_pole_landing_on_live_boundary_rejected(square_domain,
     chart = TranslationChart(
         region=SupportBall(center=np.array([1.0 + 0.0j]), radius=3.5),
         v=np.array([1.0 + 0.0j]),
-        weight=lambda z: np.ones(z.shape[0]),
         label="tangential")
-    cover = ChartCover(domain=square_domain, charts=(chart,))
+    cover = ChartCover(charts=(chart,),
+                       factors=(lambda z: np.ones(z.shape[0]),),
+                       chart_factors=((0,),))
     with pytest.raises(PoleOnBoundaryError):
         pairing_at_epsilon(square_domain, f, x_form, cover, 0.25, fast_spec)
 
