@@ -70,7 +70,9 @@ class FacePatch:
 
     ``param_map`` sends parameter batches (m, d) to ambient points (m, n);
     ``jacobian`` returns the complex tangent frame (m, n, d).  For n = 1 the
-    patch is a curve (d = 1), for n = 2 a hypersurface (d = 3).
+    patch is a curve (d = 1), for n = 2 a boundary curve of one variable
+    times the other variable's solid (d = 3).  A patch knows nothing of the
+    corners on it: those are the in-closure samples of ``locate_strata``.
     """
 
     owner: int
@@ -80,7 +82,6 @@ class FacePatch:
     orientation_sign: int
     active_mask: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
-    corner_params: tuple[float, ...] = ()
     periodic: bool = False
 
 
@@ -111,7 +112,7 @@ class PiecewiseDomain:
     pieces: tuple[SmoothPiece, ...]
     bounding_box: tuple[tuple[float, float], ...]
     volume_patches: tuple[VolumePatch, ...] = ()
-    product_factors: tuple | None = None  # (factor0, factor1) metadata for n = 2
+    product_factors: tuple | None = None  # the factor(s) of product_domain, else None
     label: str = ""
 
     def rho_all(self, z: np.ndarray) -> np.ndarray:
@@ -244,7 +245,7 @@ def _orientation_sign(grad_rho, chart_map, frame_fn, param_box) -> int:
 
 @dataclass(frozen=True)
 class _Curve:
-    """A boundary curve of a factor, in the factor's own complex plane."""
+    """A boundary curve of one piece, in the complex plane of its variable."""
 
     t_range: tuple[float, float]
     point: Callable[[np.ndarray], np.ndarray]       # (m,) -> (m,) complex
@@ -262,7 +263,6 @@ class _Tile:
     center: complex
     radius: float
     label: str
-    kind: str  # "corner" | "strip"
 
 
 @dataclass(frozen=True)
@@ -270,30 +270,21 @@ class BoxFactor:
     x_range: tuple[float, float]
     y_range: tuple[float, float]
 
-    def piece_defs(self):
-        x0, x1 = self.x_range
-        y0, y1 = self.y_range
-        return [("x", "min", x0), ("x", "max", x1), ("y", "min", y0), ("y", "max", y1)]
+    def piece_defs(self) -> list[dict]:
+        return [{"kind": "box-side", "axis": axis, "side": side, "value": value}
+                for axis, rng in (("x", self.x_range), ("y", self.y_range))
+                for side, value in zip(("min", "max"), rng)]
 
     def curves(self) -> list[_Curve]:
+        """The zero curve of each piece, in ``piece_defs`` order."""
         x0, x1 = self.x_range
         y0, y1 = self.y_range
         return [
-            _Curve((x0, x1), lambda t, y0=y0: t + 1j * y0, lambda t: np.ones_like(t) + 0j, "x-edge-low"),
-            _Curve((x0, x1), lambda t, y1=y1: t + 1j * y1, lambda t: np.ones_like(t) + 0j, "x-edge-high"),
             _Curve((y0, y1), lambda t, x0=x0: x0 + 1j * t, lambda t: 1j * np.ones_like(t), "y-edge-low"),
             _Curve((y0, y1), lambda t, x1=x1: x1 + 1j * t, lambda t: 1j * np.ones_like(t), "y-edge-high"),
+            _Curve((x0, x1), lambda t, y0=y0: t + 1j * y0, lambda t: np.ones_like(t) + 0j, "x-edge-low"),
+            _Curve((x0, x1), lambda t, y1=y1: t + 1j * y1, lambda t: np.ones_like(t) + 0j, "x-edge-high"),
         ]
-
-    def curve_owner(self, idx: int) -> int:
-        # order of piece_defs: x-min, x-max, y-min, y-max; curves listed
-        # bottom, top, left, right
-        return [2, 3, 0, 1][idx]
-
-    def corners(self) -> list[complex]:
-        x0, x1 = self.x_range
-        y0, y1 = self.y_range
-        return [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
 
     def solid(self):
         box = (self.x_range, self.y_range)
@@ -328,7 +319,7 @@ class BoxFactor:
             v = nsum / abs(nsum) * rot
             prof = RadialProfile(radius / 2.0, radius)
             tiles.append(_Tile(lambda w, c=c, prof=prof: prof(np.abs(w - c)),
-                               v, c, radius, f"corner({c.real:g},{c.imag:g})", "corner"))
+                               v, c, radius, f"corner({c.real:g},{c.imag:g})"))
         dead, plat = radius / 3.0, radius * (0.5 + 0.5 * min(max(overlap, 0.05), 0.45))
         transverse = RadialProfile(radius / 3.0, 2.0 * radius / 3.0)
         sides = [
@@ -348,7 +339,7 @@ class BoxFactor:
             tiles.append(_Tile(
                 lambda w, prof_s=prof_s, along=along, across=across:
                     prof_s(along(w)) * transverse(across(w)),
-                v, center, 0.5 * (s1 - s0) + radius, f"strip-{name}", "strip"))
+                v, center, 0.5 * (s1 - s0) + radius, f"strip-{name}"))
         return tiles
 
 
@@ -357,8 +348,9 @@ class DiscFactor:
     center: complex
     radius_disc: float
 
-    def piece_defs(self):
-        return [("disc", self.center, self.radius_disc)]
+    def piece_defs(self) -> list[dict]:
+        return [{"kind": "disc", "center": [self.center.real, self.center.imag],
+                 "radius": self.radius_disc}]
 
     def curves(self) -> list[_Curve]:
         c, R = self.center, self.radius_disc
@@ -366,12 +358,6 @@ class DiscFactor:
                        lambda t: c + R * np.exp(1j * t),
                        lambda t: 1j * R * np.exp(1j * t),
                        "circle", periodic=True)]
-
-    def curve_owner(self, idx: int) -> int:
-        return 0
-
-    def corners(self) -> list[complex]:
-        return []
 
     def solid(self):
         c, R = self.center, self.radius_disc
@@ -403,57 +389,82 @@ class DiscFactor:
                 lambda w, ang=ang, radial=radial, c=c, R=R:
                     ang(np.angle(w - c)) * radial(np.abs(np.abs(w - c) - R)),
                 v, c + R * np.exp(1j * theta), R * half * 2.0 + radius,
-                f"arc{k}", "strip"))
+                f"arc{k}"))
         return tiles
 
 
-def _factor_pieces(factor, var: int, ambient_dim: int) -> list[tuple]:
-    """(rho, grad, dbar, label) callables for each defining inequality."""
-    out = []
-    for defn in factor.piece_defs():
-        if defn[0] in ("x", "y"):
-            axis, side, value = defn
-            sign = -1.0 if side == "min" else 1.0
-            comp = (lambda z, var=var: z[..., var].real) if axis == "x" else \
-                   (lambda z, var=var: z[..., var].imag)
-            slot = 2 * var + (0 if axis == "x" else 1)
+def _piece_callables(spec: dict, var: int, ambient_dim: int) -> tuple:
+    """(rho, grad, dbar, label) of one piece in the variable z_{var+1}.
 
-            def rho(z, comp=comp, sign=sign, value=value):
-                return sign * (comp(z) - value)
+    ``spec`` is a canonical scenario piece: a box side {x or y, min or max,
+    value}, a halfplane a x + b y + c < 0, or a disc (``disc`` or
+    ``polydisc-factor``) with center [re, im] and radius.  Every domain
+    builder takes its defining functions from here.
+    """
+    kind = spec["kind"]
+    if kind == "box-side":
+        axis, side, value = spec["axis"], spec["side"], float(spec["value"])
+        sign = -1.0 if side == "min" else 1.0
+        slot = 2 * var + (0 if axis == "x" else 1)
+        wirt = 0.5 * sign if axis == "x" else -0.5j * sign
 
-            def grad(z, slot=slot, sign=sign, ambient_dim=ambient_dim):
-                g = np.zeros(z.shape[:-1] + (2 * ambient_dim,))
-                g[..., slot] = sign
-                return g
+        def rho(z):
+            w = z[..., var]
+            return sign * ((w.real if axis == "x" else w.imag) - value)
 
-            wirt = 0.5 * sign if axis == "x" else -0.5j * sign
+        def grad(z):
+            g = np.zeros(z.shape[:-1] + (2 * ambient_dim,))
+            g[..., slot] = sign
+            return g
 
-            def dbar(z, var=var, wirt=wirt, ambient_dim=ambient_dim):
-                g = np.zeros(z.shape[:-1] + (ambient_dim,), dtype=np.complex128)
-                g[..., var] = wirt
-                return g
+        def dbar(z):
+            g = np.zeros(z.shape[:-1] + (ambient_dim,), dtype=np.complex128)
+            g[..., var] = wirt
+            return g
 
-            out.append((rho, grad, dbar, f"{axis}-{side}({value:g})"))
-        else:
-            _, c, R = defn
+        return rho, grad, dbar, f"{axis}-{side}({value:g})"
+    if kind == "halfplane":
+        a, b, c = float(spec["a"]), float(spec["b"]), float(spec["c"])
 
-            def rho(z, var=var, c=c, R=R):
-                return np.abs(z[..., var] - c) ** 2 - R * R
+        def rho(z):
+            return a * z[..., var].real + b * z[..., var].imag + c
 
-            def grad(z, var=var, c=c, ambient_dim=ambient_dim):
-                g = np.zeros(z.shape[:-1] + (2 * ambient_dim,))
-                w = z[..., var] - c
-                g[..., 2 * var] = 2.0 * w.real
-                g[..., 2 * var + 1] = 2.0 * w.imag
-                return g
+        def grad(z):
+            g = np.zeros(z.shape[:-1] + (2 * ambient_dim,))
+            g[..., 2 * var] = a
+            g[..., 2 * var + 1] = b
+            return g
 
-            def dbar(z, var=var, c=c, ambient_dim=ambient_dim):
-                g = np.zeros(z.shape[:-1] + (ambient_dim,), dtype=np.complex128)
-                g[..., var] = np.conj(z[..., var] - c)
-                return g
+        def dbar(z):
+            g = np.zeros(z.shape[:-1] + (ambient_dim,), dtype=np.complex128)
+            g[..., var] = 0.5 * (a - 1j * b)
+            return g
 
-            out.append((rho, grad, dbar, f"disc({c:g},{R:g})"))
-    return out
+        return rho, grad, dbar, f"halfplane({a:g},{b:g},{c:g})"
+    if kind in ("disc", "polydisc-factor"):
+        c, R = complex(*spec["center"]), float(spec["radius"])
+
+        def rho(z):
+            return np.abs(z[..., var] - c) ** 2 - R * R
+
+        def grad(z):
+            g = np.zeros(z.shape[:-1] + (2 * ambient_dim,))
+            w = z[..., var] - c
+            g[..., 2 * var] = 2.0 * w.real
+            g[..., 2 * var + 1] = 2.0 * w.imag
+            return g
+
+        def dbar(z):
+            g = np.zeros(z.shape[:-1] + (ambient_dim,), dtype=np.complex128)
+            g[..., var] = np.conj(z[..., var] - c)
+            return g
+
+        return rho, grad, dbar, f"disc({c:g},{R:g})"
+    raise GeometryError(f"unknown piece kind {kind!r}")
+
+
+def _disc_factor(spec: dict) -> DiscFactor:
+    return DiscFactor(complex(*spec["center"]), float(spec["radius"]))
 
 
 def _factor_bbox(factor) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -467,146 +478,97 @@ def _factor_bbox(factor) -> tuple[tuple[float, float], tuple[float, float]]:
 # Domain builders
 
 
-def _embed_curve_1d(curve: _Curve, owner: int, grad_rho, corner_ts) -> FacePatch:
-    def chart_map(params: np.ndarray) -> np.ndarray:
-        return curve.point(params[:, 0])[:, None]
+def _curve_patch(curve: _Curve, owner: int, grad_rho, var: int = 0,
+                 other=None, active_mask=None) -> FacePatch:
+    """The face patch of a boundary curve lying in the plane of z_{var+1}.
 
-    def frame(params: np.ndarray) -> np.ndarray:
-        return curve.velocity(params[:, 0])[:, None, None]
+    Without ``other`` the patch is the curve itself, in C.  With ``other``,
+    the one-variable factor of the remaining variable, it is the curve times
+    that factor's solid, in C^2, with parameters (t, solid parameters).
+    The orientation sign is fixed against ``grad_rho``.
+    """
+    if other is None:
+        box = (curve.t_range,)
 
-    sign = _orientation_sign(grad_rho, chart_map, frame, (curve.t_range,))
-    return FacePatch(owner, (curve.t_range,), chart_map, frame, sign,
-                     label=curve.label, corner_params=tuple(corner_ts),
-                     periodic=curve.periodic)
+        def chart_map(params):
+            return curve.point(params[:, 0])[:, None]
 
+        def frame(params):
+            return curve.velocity(params[:, 0])[:, None, None]
+    else:
+        solid_box, solid_map, _ = other.solid()
+        solid_frame = other.solid_frame()
+        box = (curve.t_range,) + tuple(solid_box)
 
-def _single_factor_domain(factor, label: str) -> PiecewiseDomain:
-    defs = _factor_pieces(factor, 0, 1)
-    curves = factor.curves()
-    corner_pts = factor.corners()
-    pieces = []
-    for j, (rho, grad, dbar, plabel) in enumerate(defs):
-        patches = []
-        for idx, curve in enumerate(curves):
-            if factor.curve_owner(idx) != j:
-                continue
-            ts = [t for c in corner_pts
-                  if (t := _param_on_curve(curve.point, curve.t_range, c)) is not None]
-            patches.append(_embed_curve_1d(curve, j, grad, sorted(ts)))
-        pieces.append(SmoothPiece(rho, grad, dbar, tuple(patches), plabel))
-    solid_box, solid_map, solid_jac = factor.solid()
-    vol = VolumePatch(solid_box,
-                      lambda u, m=solid_map: m(u)[:, None],
-                      solid_jac, label="solid")
-    bx, by = _factor_bbox(factor)
-    return PiecewiseDomain(1, tuple(pieces), (bx, by), (vol,),
-                           product_factors=(factor,), label=label)
-
-
-def _param_on_curve(point_at: Callable[[np.ndarray], np.ndarray],
-                    t_range: tuple[float, float], point: complex) -> float | None:
-    """The parameter t in ``t_range`` with point_at(t) within 1e-7 of
-    ``point``, or None; ``point_at`` maps (m,) parameters to (m,) points."""
-    ts = np.linspace(t_range[0], t_range[1], 513)
-    d = np.abs(point_at(ts) - point)
-    k = int(np.argmin(d))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, len(ts) - 1)]
-    for _ in range(60):
-        mids = np.linspace(lo, hi, 9)
-        dm = np.abs(point_at(mids) - point)
-        k = int(np.argmin(dm))
-        lo, hi = mids[max(k - 1, 0)], mids[min(k + 1, 8)]
-    t = 0.5 * (lo + hi)
-    if abs(complex(point_at(np.array([t]))[0]) - point) < 1e-7:
-        return float(t)
-    return None
-
-
-def product_domain(factor0, factor1, label: str = "") -> PiecewiseDomain:
-    """Product of two one-variable factors inside C^2."""
-    defs0 = _factor_pieces(factor0, 0, 2)
-    defs1 = _factor_pieces(factor1, 1, 2)
-    factors = (factor0, factor1)
-    all_defs = [(0, d) for d in defs0] + [(1, d) for d in defs1]
-
-    pieces = []
-    piece_idx = 0
-    for var, (rho, grad, dbar, plabel) in all_defs:
-        factor = factors[var]
-        other = factors[1 - var]
-        patches = _product_patches(factor, other, var, piece_idx, len(defs0), grad)
-        pieces.append(SmoothPiece(rho, grad, dbar, tuple(patches), f"z{var + 1}:{plabel}"))
-        piece_idx += 1
-
-    sb0, sm0, sj0 = factor0.solid()
-    sb1, sm1, sj1 = factor1.solid()
-
-    def vol_map(u):
-        return np.stack([sm0(u[:, 0:2]), sm1(u[:, 2:4])], axis=-1)
-
-    def vol_jac(u):
-        return sj0(u[:, 0:2]) * sj1(u[:, 2:4])
-
-    vol = VolumePatch(tuple(sb0) + tuple(sb1), vol_map, vol_jac, "solid-product")
-    b0x, b0y = _factor_bbox(factor0)
-    b1x, b1y = _factor_bbox(factor1)
-    return PiecewiseDomain(2, tuple(pieces), (b0x, b0y, b1x, b1y), (vol,),
-                           product_factors=factors, label=label or "product")
-
-
-def _product_patches(factor, other, var: int, owner: int, n_defs0: int, grad_rho):
-    """Faces of one piece of a product domain: factor curve x other solid."""
-    local_defs = factor.piece_defs()
-    local_owner = owner if var == 0 else owner - n_defs0
-    solid_box, solid_map, _ = other.solid()
-    solid_frame = other.solid_frame()
-    patches = []
-    for idx, curve in enumerate(factor.curves()):
-        if factor.curve_owner(idx) != local_owner:
-            continue
-
-        def chart_map(params, curve=curve):
+        def chart_map(params):
             w = curve.point(params[:, 0])
             s = solid_map(params[:, 1:3])
-            cols = [w, s] if var == 0 else [s, w]
-            return np.stack(cols, axis=-1)
+            return np.stack([w, s] if var == 0 else [s, w], axis=-1)
 
-        def frame(params, curve=curve):
-            m = len(params)
-            vel = curve.velocity(params[:, 0])
+        def frame(params):
             sf = solid_frame(params[:, 1:3])  # (m, 2) complex per solid param
-            out = np.zeros((m, 2, 3), dtype=np.complex128)
-            out[:, var, 0] = vel
+            out = np.zeros((len(params), 2, 3), dtype=np.complex128)
+            out[:, var, 0] = curve.velocity(params[:, 0])
             out[:, 1 - var, 1] = sf[:, 0]
             out[:, 1 - var, 2] = sf[:, 1]
             return out
 
-        box = (curve.t_range,) + tuple(solid_box)
-        sign = _orientation_sign(grad_rho, chart_map, frame, box)
-        ts = [t for c in factor.corners()
-              if (t := _param_on_curve(curve.point, curve.t_range, c)) is not None]
-        patches.append(FacePatch(owner, box, chart_map, frame, sign,
-                                 label=f"z{var + 1}-{curve.label}",
-                                 corner_params=tuple(sorted(ts)),
-                                 periodic=curve.periodic))
-    return patches
+    sign = _orientation_sign(grad_rho, chart_map, frame, box)
+    label = curve.label if other is None else f"z{var + 1}-{curve.label}"
+    return FacePatch(owner, box, chart_map, frame, sign, active_mask=active_mask,
+                     label=label, periodic=curve.periodic)
+
+
+def product_domain(factor0, factor1=None, label: str = "") -> PiecewiseDomain:
+    """The domain of one one-variable factor (a box or a disc) in C, or the
+    product of two factors in C^2.
+
+    Each piece of each factor takes its defining functions from
+    ``_piece_callables`` and its faces from ``_curve_patch``: the factor's
+    boundary curves it owns, crossed in C^2 with the other factor's solid.
+    The one volume patch is the factor's solid or the product of both.
+    """
+    factors = (factor0,) if factor1 is None else (factor0, factor1)
+    n = len(factors)
+    pieces = []
+    for var, factor in enumerate(factors):
+        other = factors[1 - var] if n == 2 else None
+        for spec, curve in zip(factor.piece_defs(), factor.curves()):
+            rho, grad, dbar, plabel = _piece_callables(spec, var, n)
+            patch = _curve_patch(curve, len(pieces), grad, var, other)
+            pieces.append(SmoothPiece(rho, grad, dbar, (patch,),
+                                      plabel if n == 1 else f"z{var + 1}:{plabel}"))
+
+    if n == 1:
+        sb, sm, sj = factor0.solid()
+        vol = VolumePatch(sb, lambda u: sm(u)[:, None], sj, "solid")
+    else:
+        (sb0, sm0, sj0), (sb1, sm1, sj1) = factor0.solid(), factor1.solid()
+        vol = VolumePatch(tuple(sb0) + tuple(sb1),
+                          lambda u: np.stack([sm0(u[:, 0:2]), sm1(u[:, 2:4])], axis=-1),
+                          lambda u: sj0(u[:, 0:2]) * sj1(u[:, 2:4]), "solid-product")
+    bbox = tuple(rng for f in factors for rng in _factor_bbox(f))
+    return PiecewiseDomain(n, tuple(pieces), bbox, (vol,), product_factors=factors,
+                           label=label or ("factor" if n == 1 else "product"))
 
 
 def domain_from_pieces(piece_specs: Sequence[dict], ambient_dim: int,
                        bounding_box=None, label: str = "") -> PiecewiseDomain:
-    """Build a domain from scenario piece descriptions.
+    """Build a domain from canonical scenario piece descriptions.
 
-    Box-side and disc pieces that assemble into a box, a disc, or a product
-    of such factors get exact parametrizations.  Any other one-variable
-    combination (general halfplanes, several discs) falls back to
-    bounding-box-clipped curves with activity masks.  Unsupported
+    Four box sides or one disc in a variable form a factor; one factor, or
+    one in each of two variables, goes to ``product_domain`` and gets exact
+    parametrizations.  Any other one-variable combination (halfplanes, box
+    sides mixed with other pieces, several discs) takes the general path:
+    the same piece callables, each zero line or circle clipped to the
+    bounding box (inferred from box sides and discs when not given) and
+    masked to where every other piece is nonpositive.  Unsupported
     two-variable combinations raise GeometryError.
     """
     if ambient_dim == 1:
-        factor = _recognize_factor(piece_specs, var=0)
+        factor = _recognize_factor(piece_specs)
         if factor is not None:
-            return _single_factor_domain(factor, label or "factor")
+            return product_domain(factor, label=label)
         return _generic_domain_1d(piece_specs, bounding_box, label)
     by_var: dict[int, list[dict]] = {0: [], 1: []}
     for ps in piece_specs:
@@ -614,23 +576,20 @@ def domain_from_pieces(piece_specs: Sequence[dict], ambient_dim: int,
         if var not in (0, 1):
             raise GeometryError(f"piece var must be 0 or 1, got {var}")
         by_var[var].append(ps)
-    f0 = _recognize_factor(by_var[0], var=0)
-    f1 = _recognize_factor(by_var[1], var=1)
+    f0 = _recognize_factor(by_var[0])
+    f1 = _recognize_factor(by_var[1])
     if f0 is None or f1 is None:
         raise GeometryError("two-variable domains must be products of a box or "
                             "disc in each variable")
-    return product_domain(f0, f1, label=label or "product")
+    return product_domain(f0, f1, label=label)
 
 
-def _recognize_factor(piece_specs: Sequence[dict], var: int):
+def _recognize_factor(piece_specs: Sequence[dict]):
     kinds = [ps["kind"] for ps in piece_specs]
     if len(piece_specs) == 1 and kinds[0] in ("disc", "polydisc-factor"):
-        ps = piece_specs[0]
-        return DiscFactor(_as_complex(ps["center"]), float(ps["radius"]))
+        return _disc_factor(piece_specs[0])
     if len(piece_specs) == 4 and all(k == "box-side" for k in kinds):
-        found = {}
-        for ps in piece_specs:
-            found[(ps["axis"], ps["side"])] = float(ps["value"])
+        found = {(ps["axis"], ps["side"]): float(ps["value"]) for ps in piece_specs}
         need = {("x", "min"), ("x", "max"), ("y", "min"), ("y", "max")}
         if set(found) == need and found[("x", "min")] < found[("x", "max")] \
                 and found[("y", "min")] < found[("y", "max")]:
@@ -639,98 +598,39 @@ def _recognize_factor(piece_specs: Sequence[dict], var: int):
     return None
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
-        from .rational import compile_node, parse_expression
-        node = parse_expression(value, 1)
-        return complex(compile_node(node, 1)(np.zeros((1, 1), complex))[0])
-    return complex(value)
-
-
 def _generic_domain_1d(piece_specs, bounding_box, label) -> PiecewiseDomain:
     if bounding_box is None:
         bounding_box = _infer_bbox_1d(piece_specs)
-    pieces_raw = []
-    for ps in piece_specs:
-        kind = ps["kind"]
-        if kind == "halfplane":
-            a, b, c = float(ps["a"]), float(ps["b"]), float(ps["c"])
-            pieces_raw.append(_halfplane_callables(a, b, c))
-        elif kind == "box-side":
-            sign = -1.0 if ps["side"] == "min" else 1.0
-            if ps["axis"] == "x":
-                pieces_raw.append(_halfplane_callables(sign, 0.0, -sign * float(ps["value"])))
-            else:
-                pieces_raw.append(_halfplane_callables(0.0, sign, -sign * float(ps["value"])))
-        elif kind in ("disc", "polydisc-factor"):
-            c, R = _as_complex(ps["center"]), float(ps["radius"])
-            pieces_raw.append(_factor_pieces(DiscFactor(c, R), 0, 1)[0])
-        else:
-            raise GeometryError(f"unknown piece kind {kind!r}")
+    pieces_raw = [_piece_callables(ps, 0, 1) for ps in piece_specs]
 
     def others_mask(exclude: int):
-        def mask(z, exclude=exclude):
+        def mask(z):
             ok = np.ones(len(z), dtype=bool)
             for j, (rho, _, _, _) in enumerate(pieces_raw):
-                if j == exclude:
-                    continue
-                ok &= rho(z) <= 1e-9
+                if j != exclude:
+                    ok &= rho(z) <= 1e-9
             return ok
         return mask
 
     pieces = []
     for j, (rho, grad, dbar, plabel) in enumerate(pieces_raw):
         curve = _zero_curve_1d(piece_specs[j], bounding_box)
-        patches = ()
-        if curve is not None:
-            def chart_map(params, curve=curve):
-                return curve.point(params[:, 0])[:, None]
-
-            def frame(params, curve=curve):
-                return curve.velocity(params[:, 0])[:, None, None]
-
-            sign = _orientation_sign(grad, chart_map, frame, (curve.t_range,))
-            patches = (FacePatch(j, (curve.t_range,), chart_map, frame, sign,
-                                 active_mask=others_mask(j), label=curve.label,
-                                 periodic=curve.periodic),)
+        patches = () if curve is None else (
+            _curve_patch(curve, j, grad, active_mask=others_mask(j)),)
         pieces.append(SmoothPiece(rho, grad, dbar, patches, plabel))
     return PiecewiseDomain(1, tuple(pieces), bounding_box, (),
                            product_factors=None, label=label or "generic")
 
 
-def _halfplane_callables(a: float, b: float, c: float):
-    def rho(z):
-        return a * z[..., 0].real + b * z[..., 0].imag + c
-
-    def grad(z):
-        g = np.zeros(z.shape[:-1] + (2,))
-        g[..., 0] = a
-        g[..., 1] = b
-        return g
-
-    def dbar(z):
-        g = np.zeros(z.shape[:-1] + (1,), dtype=np.complex128)
-        g[..., 0] = 0.5 * (a - 1j * b)
-        return g
-
-    return rho, grad, dbar, f"halfplane({a:g},{b:g},{c:g})"
-
-
 def _zero_curve_1d(ps: dict, bounding_box) -> _Curve | None:
-    (x0, x1), (y0, y1) = bounding_box
-    kind = ps["kind"]
-    if kind in ("disc", "polydisc-factor"):
-        c, R = _as_complex(ps["center"]), float(ps["radius"])
-        return _Curve((0.0, 2.0 * np.pi), lambda t: c + R * np.exp(1j * t),
-                      lambda t: 1j * R * np.exp(1j * t), "circle", periodic=True)
-    if kind == "box-side":
+    """The zero set of one piece: its circle, or its line clipped to the
+    bounding box (None when the line misses the box)."""
+    if ps["kind"] in ("disc", "polydisc-factor"):
+        return _disc_factor(ps).curves()[0]
+    if ps["kind"] == "box-side":
         sign = -1.0 if ps["side"] == "min" else 1.0
-        if ps["axis"] == "x":
-            a, b, c = sign, 0.0, -sign * float(ps["value"])
-        else:
-            a, b, c = 0.0, sign, -sign * float(ps["value"])
+        a, b = (sign, 0.0) if ps["axis"] == "x" else (0.0, sign)
+        c = -sign * float(ps["value"])
     else:
         a, b, c = float(ps["a"]), float(ps["b"]), float(ps["c"])
     nrm = float(np.hypot(a, b))
@@ -740,7 +640,7 @@ def _zero_curve_1d(ps: dict, bounding_box) -> _Curve | None:
     u = np.array([-b, a]) / nrm
     # clip the line p0 + t u to the bounding box
     t_lo, t_hi = -np.inf, np.inf
-    for k, (lo, hi) in enumerate(((x0, x1), (y0, y1))):
+    for k, (lo, hi) in enumerate(bounding_box):
         if abs(u[k]) < 1e-15:
             if not (lo - 1e-12 <= p0[k] <= hi + 1e-12):
                 return None
@@ -763,15 +663,14 @@ def _infer_bbox_1d(piece_specs) -> tuple[tuple[float, float], tuple[float, float
     xs, ys = [], []
     for ps in piece_specs:
         if ps["kind"] in ("disc", "polydisc-factor"):
-            c, R = _as_complex(ps["center"]), float(ps["radius"])
-            xs += [c.real - R, c.real + R]
-            ys += [c.imag - R, c.imag + R]
+            bx, by = _factor_bbox(_disc_factor(ps))
+            xs += bx
+            ys += by
         elif ps["kind"] == "box-side":
             (xs if ps["axis"] == "x" else ys).append(float(ps["value"]))
     if len(xs) < 2 or len(ys) < 2:
         raise GeometryError("cannot infer a bounding box; supply one explicitly")
-    pad = 0.0
-    return ((min(xs) - pad, max(xs) + pad), (min(ys) - pad, max(ys) + pad))
+    return (min(xs), max(xs)), (min(ys), max(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -1139,9 +1038,9 @@ def chart_margin(domain: PiecewiseDomain, v: np.ndarray, weights: np.ndarray,
         mine = pts[owners == j]
         if len(mine) == 0:
             continue
-        deriv = piece.grad_rho(mine) @ vreal
-        margin = min(margin, float(np.min(deriv)))
-    return margin
+        # np.minimum, unlike min(), keeps a NaN derivative (a NaN direction)
+        margin = np.minimum(margin, np.min(piece.grad_rho(mine) @ vreal))
+    return float(margin)
 
 
 def build_chart_cover(domain: PiecewiseDomain, radius: float = 0.3,
@@ -1232,6 +1131,13 @@ def _cover_1d(domain, radius, strip_overlap, arcs_per_circle,
 
 def _strips_for_curve_patch(domain, piece_idx, patch, corner_pts, radius,
                             dead, plat, transverse, arcs_per_circle, rotation):
+    """(chart, bump) pairs of the face strips along one curve patch.
+
+    ``corner_pts`` are the corner chart centres, the in-closure strata
+    samples; those lying on the patch cut it into segments, each carrying
+    one trapezoid strip that dies off before the corner balls.  A periodic
+    patch with no corner on it is cut into ``arcs_per_circle`` arcs.
+    """
     piece = domain.pieces[piece_idx]
     t0, t1 = patch.param_box[0]
     ts = np.linspace(t0, t1, 257)
@@ -1245,10 +1151,8 @@ def _strips_for_curve_patch(domain, piece_idx, patch, corner_pts, radius,
     def point_at(t):
         return patch.param_map(t[:, None])[:, 0]
 
-    corner_ts = sorted(set(
-        [t for c in corner_pts
-         if (t := _param_on_curve(point_at, (t0, t1), c)) is not None]
-        + list(patch.corner_params)))
+    corner_ts = sorted({t for c in corner_pts
+                        if (t := _param_on_curve(point_at, (t0, t1), c)) is not None})
     corner_ts = _merge_close(corner_ts, (dead / 2.0) / sp)
 
     period = t1 - t0
@@ -1320,6 +1224,26 @@ def _merge_close(values, tol):
         if not out or v - out[-1] > tol:
             out.append(v)
     return out
+
+
+def _param_on_curve(point_at: Callable[[np.ndarray], np.ndarray],
+                    t_range: tuple[float, float], point: complex) -> float | None:
+    """The parameter t in ``t_range`` with point_at(t) within 1e-7 of
+    ``point``, or None; ``point_at`` maps (m,) parameters to (m,) points."""
+    ts = np.linspace(t_range[0], t_range[1], 513)
+    d = np.abs(point_at(ts) - point)
+    k = int(np.argmin(d))
+    lo = ts[max(k - 1, 0)]
+    hi = ts[min(k + 1, len(ts) - 1)]
+    for _ in range(60):
+        mids = np.linspace(lo, hi, 9)
+        dm = np.abs(point_at(mids) - point)
+        k = int(np.argmin(dm))
+        lo, hi = mids[max(k - 1, 0)], mids[min(k + 1, 8)]
+    t = 0.5 * (lo + hi)
+    if abs(complex(point_at(np.array([t]))[0]) - point) < 1e-7:
+        return float(t)
+    return None
 
 
 def _curve_param_of(patch: FacePatch, zpts: np.ndarray, t0: float, t1: float) -> np.ndarray:
@@ -1425,6 +1349,6 @@ def _check_cover(domain: PiecewiseDomain, cover: ChartCover, radius: float) -> N
     fine_pts, fine_owners = _fine_boundary_grid(domain)
     for chart, w in zip(cover.charts, cover.chart_weights(fine_pts)):
         chart.margin = chart_margin(domain, chart.v, w, fine_pts, fine_owners)
-        if chart.margin <= 0.0:
+        if not chart.margin > 0.0:   # also refuses a NaN margin
             raise NoOutwardVectorError(
-                f"chart {chart.label} has non-positive outward margin {chart.margin:.3g}")
+                f"chart {chart.label} has no positive outward margin ({chart.margin:.3g})")

@@ -255,9 +255,10 @@ def parse_scenario(data: Any) -> Scenario:
     if schedule["eps0"] <= 0.0:
         raise ScenarioError("schedule: eps0 must be positive")
     cover = _merge_defaults(data.get("cover"), _COVER_DEFAULTS, "cover")
-    if not (math.isfinite(cover["radius"]) and cover["radius"] > 0.0):
-        raise ScenarioError("cover.radius must be positive and finite, got "
-                            f"{cover['radius']}")
+    for key, value in cover.items():
+        if not math.isfinite(value) or (key == "radius" and value <= 0.0):
+            need = "positive and finite" if key == "radius" else "finite"
+            raise ScenarioError(f"cover.{key} must be {need}, got {value}")
     return Scenario(
         name=name,
         ambient_dim=ambient_dim,

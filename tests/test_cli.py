@@ -108,6 +108,16 @@ def test_asymptotics_from_csv(tmp_path, capsys):
     assert rc == 0
     assert report["existence"] == "EXISTS_NUMERICALLY"
     assert abs(report["limit"][1] - 4.0) < 1e-8
+    # from the scenario: the same fit, and no CSV written
+    fresh = tmp_path / "from-scenario"
+    rc, direct = run(capsys, "asymptotics", "--scenario", "square_f=1",
+                     "--steps", "6", "--out", str(fresh))
+    assert rc == 0
+    (entry,) = direct["forms"]
+    assert entry["existence"] == direct["existence"] == report["existence"]
+    assert entry["limit"] == report["limit"]
+    assert entry["csv"] is None
+    assert not list(fresh.glob("*.csv"))
 
 
 def test_weinstock_command_passes(capsys, tmp_path):
@@ -237,12 +247,17 @@ def test_exit_8_on_non_finite_integrand(capsys, monkeypatch):
     assert "non-finite integrand" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("radius", [0, -0.3, math.inf])
-def test_exit_2_on_non_positive_cover_radius(tmp_path, capsys, radius):
-    path = write_scenario(tmp_path, "flat-cover", cover={"radius": radius})
-    assert main(["pair", "--scenario", path]) == 2
+@pytest.mark.parametrize("key, value", [
+    ("radius", 0), ("radius", -0.3), ("radius", math.inf),
+    ("strip_overlap", math.nan),
+    ("corner_v_rotation", math.nan), ("corner_v_rotation", math.inf)])
+def test_exit_2_on_bad_cover_value(tmp_path, capsys, key, value):
+    # refused when the scenario is parsed: past it, a NaN strip overlap
+    # breaks the strip profiles and a non-finite rotation every direction
+    path = write_scenario(tmp_path, "bad-cover", cover={key: value})
+    assert main(["pair", "--scenario", path, "--steps", "6"]) == 2
     err = capsys.readouterr().err
-    assert "cover.radius" in err and "Traceback" not in err
+    assert f"cover.{key}" in err and "Traceback" not in err
 
 
 def test_exit_3_on_bad_geometry(tmp_path, capsys):

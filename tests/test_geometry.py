@@ -281,8 +281,10 @@ def test_inward_translation_enters_the_domain_on_support(square_domain,
 
 
 def test_reversed_corner_directions_caught(square_domain):
-    with pytest.raises(NoOutwardVectorError):
-        build_chart_cover(square_domain, corner_v_rotation=math.pi)
+    # a NaN rotation gives NaN directions, whose margins are NaN, not inf
+    for rotation in (math.pi, math.nan):
+        with pytest.raises(NoOutwardVectorError):
+            build_chart_cover(square_domain, corner_v_rotation=rotation)
 
 
 def test_two_valid_covers_differ(square_domain, square_cover):

@@ -77,20 +77,36 @@ def test_constant_function_pairs_to_4i(square_domain, square_cover, x_form,
     assert abs(sample.value - 4j) < 1e-8
 
 
+def halfplane(a, b, c):
+    return {"kind": "halfplane", "a": a, "b": b, "c": c}
+
+
 def test_lens_pairs_to_i_times_its_area():
-    # two unit discs centred at 0 and 1: the general one-variable path, with
-    # clipped circles, activity masks and Newton-located corners; for f = 1
-    # the pairing with x dz is i * area = i (2 pi / 3 - sqrt(3) / 2)
-    discs = [{"kind": "disc", "center": [c, 0.0], "radius": 1.0}
-             for c in (0.0, 1.0)]
-    domain = domain_from_pieces(discs, 1)
-    assert domain.product_factors is None
-    cover = build_chart_cover(domain)
+    # domains of the general one-variable path, with clipped lines and
+    # circles, activity masks and Newton-located corners; for f = 1 the
+    # pairing with x dz is i * area
+    unit_disc = {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0}
+    cases = {
+        # two unit discs centred at 0 and 1: area 2 pi / 3 - sqrt(3) / 2
+        "lens": ([unit_disc, {"kind": "disc", "center": [1.0, 0.0],
+                              "radius": 1.0}], None,
+                 2.0 * np.pi / 3.0 - np.sqrt(3.0) / 2.0),
+        # {y >= 0} in the unit disc, bounding box inferred from the disc
+        "half-disc": ([halfplane(0.0, -1.0, 0.0), unit_disc], None,
+                      np.pi / 2.0),
+        # the square (0, 2)^2 as four halfplanes
+        "square": ([halfplane(-1.0, 0.0, 0.0), halfplane(1.0, 0.0, -2.0),
+                    halfplane(0.0, -1.0, 0.0), halfplane(0.0, 1.0, -2.0)],
+                   np.array([[0.0, 2.0], [0.0, 2.0]]), 4.0),
+    }
     psi = form_from_expressions("x", 1)
-    sample = pairing_at_epsilon(domain, rational_function("1", 1), psi,
-                                cover, 0.05, QuadratureSpec())
-    area = 2.0 * np.pi / 3.0 - np.sqrt(3.0) / 2.0
-    assert abs(sample.value - 1j * area) <= sample.err_est
+    for name, (pieces, box, area) in cases.items():
+        domain = domain_from_pieces(pieces, 1, bounding_box=box)
+        assert domain.product_factors is None, name
+        cover = build_chart_cover(domain)
+        sample = pairing_at_epsilon(domain, rational_function("1", 1), psi,
+                                    cover, 0.05, QuadratureSpec())
+        assert abs(sample.value - 1j * area) <= sample.err_est, name
 
 
 def test_stokes_oracle_refuses_an_unconverged_volume_integral():
@@ -195,15 +211,19 @@ def test_pole_under_dead_chart_is_harmless(square_domain, square_cover,
 
 
 def test_weinstock_monomials_orthogonal(square_domain, fast_spec):
-    f = rational_function("1/z", 1)
+    # 1/z is integrable and takes the Stokes route; 1/z^2 is not and takes
+    # the translated-epsilon route
     family = [form_from_expressions("z^%d" % k if k else "1", 1,
                                     label=f"z^{k} dz")
               for k in range(3)]
-    report = weinstock_test(square_domain, f, family, spec=fast_spec)
-    assert report.passed
-    for entry in report.entries:
-        assert entry.closed
-        assert abs(entry.value) < 1e-6 * report.scale
+    for expression, route in (("1/z", "stokes"), ("1/z^2", "epsilon")):
+        f = rational_function(expression, 1)
+        report = weinstock_test(square_domain, f, family, spec=fast_spec)
+        assert report.passed, expression
+        for entry in report.entries:
+            assert entry.route == route
+            assert entry.closed
+            assert abs(entry.value) < 1e-6 * report.scale, expression
 
 
 def test_weinstock_rejects_open_form(square_domain, fast_spec):
