@@ -20,7 +20,7 @@ interleaved layout (x1, y1, x2, y2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -568,20 +568,46 @@ def domain_from_pieces(piece_specs: Sequence[dict], ambient_dim: int,
     if ambient_dim == 1:
         factor = _recognize_factor(piece_specs)
         if factor is not None:
-            return product_domain(factor, label=label)
+            return _in_scenario_order(product_domain(factor, label=label),
+                                      piece_specs, [0] * len(piece_specs))
         return _generic_domain_1d(piece_specs, bounding_box, label)
     by_var: dict[int, list[dict]] = {0: [], 1: []}
+    var_of = []
     for ps in piece_specs:
         var = int(ps.get("var", 1 if ps.get("kind") == "polydisc-factor" else 0))
         if var not in (0, 1):
             raise GeometryError(f"piece var must be 0 or 1, got {var}")
         by_var[var].append(ps)
+        var_of.append(var)
     f0 = _recognize_factor(by_var[0])
     f1 = _recognize_factor(by_var[1])
     if f0 is None or f1 is None:
         raise GeometryError("two-variable domains must be products of a box or "
                             "disc in each variable")
-    return product_domain(f0, f1, label=label)
+    return _in_scenario_order(product_domain(f0, f1, label=label), piece_specs,
+                              var_of)
+
+
+def _in_scenario_order(domain: PiecewiseDomain, piece_specs: Sequence[dict],
+                       var_of: Sequence[int]) -> PiecewiseDomain:
+    """A product domain with its pieces, and each patch's ``owner``, in the
+    order of ``piece_specs``, whose piece j lies in the variable
+    ``var_of[j]``.  ``product_domain`` builds each factor's pieces in
+    ``piece_defs`` order, z1's before z2's; strata and face indices name
+    pieces by their place in the scenario."""
+    factors = domain.product_factors
+    first = (0, len(factors[0].piece_defs()))
+    built = []
+    for spec, var in zip(piece_specs, var_of):
+        slot = next(k for k, d in enumerate(factors[var].piece_defs())
+                    if (d.get("axis"), d.get("side"))
+                    == (spec.get("axis"), spec.get("side")))
+        built.append(first[var] + slot)
+    pieces = tuple(
+        replace(domain.pieces[k], patches=tuple(
+            replace(patch, owner=j) for patch in domain.pieces[k].patches))
+        for j, k in enumerate(built))
+    return replace(domain, pieces=pieces)
 
 
 def _recognize_factor(piece_specs: Sequence[dict]):

@@ -23,7 +23,7 @@ from .functions import HolomorphicFunction, boundary_poles
 from .geometry import (ChartCover, PiecewiseDomain, SupportBall,
                        TranslationChart, build_chart_cover,
                        nearest_boundary_gap)
-from .quadrature import (IntegralResult, QuadratureSpec, SpecialPoint,
+from .quadrature import (XGK, IntegralResult, QuadratureSpec, SpecialPoint,
                          combine_results, integrate_face, integrate_volume)
 from .rational import compile_node, conj_derivative, parse_expression
 
@@ -318,18 +318,98 @@ def _chart_specials(f: HolomorphicFunction, chart: TranslationChart,
     return specials
 
 
+def _positive_weights(cover: ChartCover, charts: Sequence[int],
+                      z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every positive partition weight at z: the point and column of each,
+    in row-major order, and the weight."""
+    w = cover.partition_weight(charts, z)
+    pts, cols = np.nonzero(w > 0.0)
+    return pts, cols, w[pts, cols]
+
+
+def _grown(a: np.ndarray, need: int) -> np.ndarray:
+    if need <= len(a):
+        return a
+    out = np.empty(max(need, 2 * len(a)), dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+class _WeightTable:
+    """The positive partition weights of every cell that one patch's
+    translated density has evaluated, kept across the samples of one epsilon
+    schedule: the weights do not depend on epsilon.
+
+    The engine hands the density whole cells, each a consecutive block of
+    ``nodes`` points (``adaptive_integrate``).  A patch map is one-to-one
+    inside its parameter box, so a cell's first and last points, which fix
+    its box, name it.  Each positive (point, chart) entry takes 14 bytes: its
+    node within the cell (int32), its column (int16) and its weight
+    (float64), in arrays that double when full.  Cell k's entries are
+    ``start[k]:start[k + 1]``.
+    """
+
+    def __init__(self, nodes: int):
+        self.nodes = nodes
+        self.cell_of: dict[bytes, int] = {}
+        self.start = np.zeros(1, dtype=np.int64)
+        self.node = np.empty(0, dtype=np.int32)
+        self.col = np.empty(0, dtype=np.int16)
+        self.weight = np.empty(0)
+
+    def positive_weights(self, cover: ChartCover, charts: Sequence[int],
+                         z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_positive_weights(cover, charts, z)``, computing only the cells
+        not yet in the table."""
+        m = self.nodes
+        blocks = z.reshape(-1, m, z.shape[-1])
+        raw = blocks[:, [0, m - 1]].tobytes()
+        size = len(raw) // len(blocks)
+        keys = [raw[k:k + size] for k in range(0, len(raw), size)]
+        new = [k for k, key in enumerate(keys) if key not in self.cell_of]
+        if new:
+            self._add([keys[k] for k in new], *_positive_weights(
+                cover, charts, blocks[new].reshape(-1, z.shape[-1])))
+        cells = np.fromiter((self.cell_of[key] for key in keys), dtype=np.int64,
+                            count=len(keys))
+        lo = self.start[cells]
+        counts = self.start[cells + 1] - lo
+        out_start = np.cumsum(counts) - counts
+        # every cell's entries in turn, as one index into the table
+        entries = np.arange(counts.sum()) + np.repeat(lo - out_start, counts)
+        pts = self.node[entries] + m * np.repeat(np.arange(len(keys)), counts)
+        return pts, self.col[entries], self.weight[entries]
+
+    def _add(self, keys, pts, cols, w) -> None:
+        first = len(self.cell_of)
+        cell, node = np.divmod(pts, self.nodes)
+        self.start = _grown(self.start, first + len(keys) + 1)
+        base = self.start[first]
+        self.start[first + 1:first + len(keys) + 1] = base + np.cumsum(
+            np.bincount(cell, minlength=len(keys)))
+        stop = base + len(pts)
+        self.node = _grown(self.node, stop)
+        self.col = _grown(self.col, stop)
+        self.weight = _grown(self.weight, stop)
+        self.node[base:stop] = node
+        self.col[base:stop] = cols
+        self.weight[base:stop] = w
+        self.cell_of.update(zip(keys, range(first, first + len(keys))))
+
+
 def _translated_density(cover: ChartCover, charts: Sequence[int],
                         f: HolomorphicFunction, psi: TestForm,
-                        shifts: np.ndarray):
+                        shifts: np.ndarray, table: _WeightTable | None = None):
     """Face density (m, K) of the translated pairing, one column per chart:
-    chi_i(z) f(z - shift_i) times the pullback of psi."""
+    chi_i(z) f(z - shift_i) times the pullback of psi.  With ``table`` the
+    weights chi_i come from it, which computes each cell's weights once."""
+    weights = _positive_weights if table is None else table.positive_weights
 
     def density(z, frame):
-        w = cover.partition_weight(charts, z)
-        out = np.zeros(w.shape, dtype=np.complex128)
+        pts, cols, w = weights(cover, charts, z)
+        out = np.zeros((len(z), len(charts)), dtype=np.complex128)
         # f is evaluated only at (point, chart) pairs of positive weight, so
         # a (possibly singular) f never blows up where a weight vanishes
-        pts, cols = np.nonzero(w > 0.0)
         if len(pts) == 0:
             return out
         first = np.empty(len(pts), dtype=bool)
@@ -337,7 +417,7 @@ def _translated_density(cover: ChartCover, charts: Sequence[int],
         np.not_equal(pts[1:], pts[:-1], out=first[1:])
         rows = pts[first]                    # points with a positive weight
         face = psi.face_density(z[rows], frame[rows])
-        out[pts, cols] = (w[pts, cols] * f(z[pts] - shifts[cols])
+        out[pts, cols] = (w * f(z[pts] - shifts[cols])
                           * face[np.cumsum(first) - 1])
         return out
 
@@ -347,7 +427,9 @@ def _translated_density(cover: ChartCover, charts: Sequence[int],
 def pairing_at_epsilon(domain: PiecewiseDomain, f: HolomorphicFunction,
                        psi: TestForm, cover: ChartCover, eps: float,
                        spec: QuadratureSpec | None = None,
-                       guard_pts: np.ndarray | None = None) -> PairingSample:
+                       guard_pts: np.ndarray | None = None,
+                       weight_tables: Sequence[_WeightTable] | None = None
+                       ) -> PairingSample:
     """Evaluate F(eps) = sum_i int_bdry f(z - eps v_i) chi_i psi.
 
     Each boundary patch whose extent meets the form support is integrated
@@ -359,6 +441,13 @@ def pairing_at_epsilon(domain: PiecewiseDomain, f: HolomorphicFunction,
     repeated runs agree bitwise; its ``cells_used`` counts the cells of the
     patch subdivisions it took part in, and the sample's ``cells_used``
     counts every patch subdivision once.
+
+    ``weight_tables``, one per boundary patch in ``domain.pieces`` order, is
+    how ``pairing_sequence`` shares the epsilon-free weights chi_i between
+    its samples: a cell whose weights a table holds skips
+    ``ChartCover.partition_weight``, and a cell that it does not hold is
+    added to it.  Without tables every weight is computed and nothing is
+    kept.  Either way the sample is the same, bit for bit.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -379,7 +468,7 @@ def pairing_at_epsilon(domain: PiecewiseDomain, f: HolomorphicFunction,
     errs = np.zeros(len(charts))
     chart_cells = np.zeros(len(charts), dtype=int)
     cells = 0
-    for patch in _boundary_patches(domain):
+    for k, patch in enumerate(_boundary_patches(domain)):
         center, radius = _patch_extent(patch)
         if psi.support is not None and not psi.support.might_contain(center, radius):
             continue
@@ -389,8 +478,9 @@ def pairing_at_epsilon(domain: PiecewiseDomain, f: HolomorphicFunction,
             continue
         specials = [s for i in meet
                     for s in _chart_specials(f, charts[i], eps, domain.ambient_dim)]
+        table = None if weight_tables is None else weight_tables[k]
         result = integrate_face(
-            patch, _translated_density(cover, meet, f, psi, shifts[meet]),
+            patch, _translated_density(cover, meet, f, psi, shifts[meet], table),
             spec, specials)
         if not result.converged:
             raise BudgetExceededError(
@@ -439,6 +529,14 @@ def pairing_sequence(domain: PiecewiseDomain, f: HolomorphicFunction,
                      spec: QuadratureSpec | None = None) -> list[PairingSample]:
     """Evaluate the pairing along a geometric epsilon schedule.
 
+    Only f(z - eps v_i) changes along the schedule.  Each sample is one
+    ``pairing_at_epsilon`` call, and the calls share one weight table per
+    boundary patch: each cell's positive partition weights are computed the
+    first time a sample's quadrature reaches that cell and read back by the
+    later samples.  The tables hold about 14 bytes per positive (point,
+    chart) pair and are dropped when this call returns.  The samples are
+    bit for bit those of separate ``pairing_at_epsilon`` calls.
+
     On a budget failure the exception carries the completed prefix in
     ``partial``.
     """
@@ -451,11 +549,14 @@ def pairing_sequence(domain: PiecewiseDomain, f: HolomorphicFunction,
     guard_pts = None
     if domain.ambient_dim == 2 and f.pole_locus:
         guard_pts, _ = domain.boundary_samples(per_axis=4_000)
+    tables = [_WeightTable(len(XGK) ** len(patch.param_box))
+              for patch in _boundary_patches(domain)]
     samples: list[PairingSample] = []
     for eps in schedule.epsilons():
         try:
             samples.append(pairing_at_epsilon(domain, f, psi, cover, eps, spec,
-                                              guard_pts=guard_pts))
+                                              guard_pts=guard_pts,
+                                              weight_tables=tables))
         except BudgetExceededError as err:
             err.partial = samples
             raise

@@ -164,6 +164,7 @@ def _evaluate_cells(cells: list[_Cell], dim: int,
     lo, hi = bounds[..., 0], bounds[..., 1]
     half = 0.5 * (hi - lo)
     center = 0.5 * (lo + hi)
+    # cell by cell: rows i * 15**d to (i + 1) * 15**d - 1 are cell i's nodes
     params = (center[:, None, :] + half[:, None, :] * nodes).reshape(-1, dim)
     raw = np.ascontiguousarray(eval_fn(params), dtype=np.complex128)
     values = raw.reshape(len(cells), len(nodes), -1)     # (N, 15**d, K)
@@ -206,15 +207,20 @@ def _split(cell: _Cell, axis: int, next_index: int) -> tuple[_Cell, _Cell]:
     return _Cell(tuple(left), next_index), _Cell(tuple(right), next_index + 1)
 
 
-def _cell_phys_extent(cell: _Cell, phys_map) -> tuple[np.ndarray, float]:
-    """Physical center and covering radius of a cell, by mapping its corners."""
-    d = len(cell.box)
-    corners = np.array(np.meshgrid(*[(lo, hi) for lo, hi in cell.box],
-                                   indexing="ij")).reshape(d, -1).T
-    center = np.array([[0.5 * (lo + hi) for lo, hi in cell.box]])
-    pts = phys_map(np.concatenate([center, corners], axis=0))
-    c = pts[0]
-    radius = float(np.max(np.sqrt(np.sum(np.abs(pts[1:] - c) ** 2, axis=-1))))
+def _phys_extents(cells: list[_Cell], phys_map) -> tuple[np.ndarray, np.ndarray]:
+    """Physical centres (N, n) and covering radii (N,) of cells, by mapping
+    each cell's centre and corners, all in one ``phys_map`` call."""
+    bounds = np.array([c.box for c in cells])            # (N, d, 2)
+    d = bounds.shape[1]
+    # corner k takes bit d-1-a of k on axis a: the meshgrid "ij" order
+    bits = (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    corners = bounds[:, np.arange(d), bits]              # (N, 2**d, d)
+    center = 0.5 * (bounds[..., 0] + bounds[..., 1])
+    params = np.concatenate([center[:, None, :], corners], axis=1)
+    pts = phys_map(params.reshape(-1, d)).reshape(len(cells), 2 ** d + 1, -1)
+    c = pts[:, 0]
+    radius = np.max(np.sqrt(np.sum(np.abs(pts[:, 1:] - c[:, None]) ** 2, axis=-1)),
+                    axis=1)
     return c, radius
 
 
@@ -228,35 +234,28 @@ def _presplit(box: tuple[tuple[float, float], ...], specials: Sequence[SpecialPo
                      for s in specials])
     radii = np.array([s.radius for s in specials])
     for round_no in range(48):
+        center, cover = _phys_extents(cells, phys_map)
+        dists = np.sqrt(np.sum(np.abs(locs - center[:, None]) ** 2, axis=-1))
+        touching = dists <= cover[:, None] + radii + 1e-15   # (N, specials)
+        # corners (radius 0) get exactly `depth` rounds; pole features keep
+        # splitting until the cell is at the feature scale
+        if round_no < depth:
+            needs = touching.any(axis=1)
+        else:
+            feature = np.where(touching & (radii > 0), radii, np.inf).min(axis=1)
+            needs = 2.0 * cover > feature
+        if not needs.any():
+            break
         refined: list[_Cell] = []
-        changed = False
-        for cell in cells:
-            center, cover = _cell_phys_extent(cell, phys_map)
-            dists = np.sqrt(np.sum(np.abs(locs - center) ** 2, axis=-1))
-            touching = dists <= cover + radii + 1e-15
-            # corners (radius 0) get exactly `depth` rounds; pole features keep
-            # splitting until the cell is at the feature scale
-            needs = False
-            if np.any(touching):
-                if round_no < depth:
-                    needs = True
-                else:
-                    tr = radii[touching]
-                    finite = tr[tr > 0]
-                    if finite.size and 2.0 * cover > float(np.min(finite)):
-                        needs = True
-            if needs:
+        for cell, split in zip(cells, needs.tolist()):
+            if split:
                 widths = [hi - lo for lo, hi in cell.box]
-                axis = int(np.argmax(widths))
-                a, b = _split(cell, axis, idx)
+                a, b = _split(cell, int(np.argmax(widths)), idx)
                 idx += 2
                 refined.extend([a, b])
-                changed = True
             else:
                 refined.append(cell)
         cells = refined
-        if not changed:
-            break
     return cells, idx
 
 
@@ -268,7 +267,10 @@ def adaptive_integrate(eval_fn: Callable[[np.ndarray], np.ndarray],
     """Integrate a vectorized parameter-space integrand over a box.
 
     ``eval_fn`` maps parameter batches (m, d) to complex values (m,), or to
-    a vector of K values per point, (m, K).  Every component shares one
+    a vector of K values per point, (m, K).  A batch holds whole cells: each
+    consecutive block of 15**d rows is one cell's tensor Kronrod nodes, in
+    the meshgrid "ij" order of ``_reference_nodes``, so an integrand may
+    treat a block as a cell.  Every component shares one
     subdivision: a cell's error is the sum of its components' errors, the
     split axis is the one whose mixed-rule differences sum largest, and the
     integration has converged when the summed error is at most
@@ -380,7 +382,8 @@ def integrate_face(patch, density, spec: QuadratureSpec,
     """Integrate a pulled-back density over one boundary patch.
 
     ``density(z, frame)`` receives ambient points (m, n) and the complex
-    tangent frame (m, n, d) and returns (m,) values, or (m, K) for K
+    tangent frame (m, n, d), at the nodes of whole cells in the row layout
+    of ``adaptive_integrate``, and returns (m,) values, or (m, K) for K
     densities integrated on one shared subdivision.  The patch orientation
     sign is applied here; masked points contribute zero.
     """

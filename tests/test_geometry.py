@@ -95,6 +95,28 @@ def test_square_corners_are_exact(square_strata):
     assert sorted(corners, key=lambda w: (w.real, w.imag)) == [0, 2j, 2, 2 + 2j]
 
 
+def test_factor_pieces_keep_the_scenario_order():
+    # the square's sides listed y-min, x-min, y-max, x-max: strata name
+    # pieces by their place in that list, so every corner pairs one x side
+    # (1 or 3) with one y side (0 or 2)
+    order = [2, 0, 3, 1]
+    domain = domain_from_pieces([SQUARE_PIECES[k] for k in order], 1)
+    assert [p.label[:5] for p in domain.pieces] == \
+        ["y-min", "x-min", "y-max", "x-max"]
+    corners = {}
+    for st in locate_strata(domain):
+        for w in st.samples[st.in_closure]:
+            corners[st.subset] = complex(w[0])
+    assert corners == {(0, 1): 0, (0, 3): 2, (1, 2): 2j, (2, 3): 2 + 2j}
+    # the z2 disc listed first is piece 0 of the bidisc
+    sc = load_scenario("bidisc")
+    bidisc = domain_from_pieces(sc.domain["pieces"][::-1], 2)
+    assert [p.label[:3] for p in bidisc.pieces] == ["z2:", "z1:"]
+    for domain in (domain, bidisc):
+        assert [[patch.owner for patch in p.patches] for p in domain.pieces] \
+            == [[j] for j in range(len(domain.pieces))]
+
+
 def test_bidisc_distinguished_boundary_generic(bidisc_domain):
     verdicts = active_verdicts(bidisc_domain, resolution=6)
     assert verdicts == {(0, 1): "GENERIC"}

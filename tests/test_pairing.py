@@ -17,8 +17,8 @@ from holobc.pairing import (FaceDistribution, PairingSchedule,
                             pairing_at_epsilon, pairing_sequence,
                             plateau_cutoff, stokes_oracle, weinstock_test)
 from holobc.quadrature import QuadratureSpec
-from holobc.scenario import (build_cover, build_domain, build_quadrature,
-                             load_scenario)
+from holobc.scenario import (build_cover, build_domain, build_forms,
+                             build_function, build_quadrature, load_scenario)
 
 
 def test_plateau_cutoff_shape():
@@ -286,3 +286,76 @@ def test_bidisc_translated_sample_meets_its_error_estimate(
     assert len(sample.per_chart) == len(cover.charts)
     assert abs(sum(c.value for c in sample.per_chart) - sample.value) < 1e-12
     assert max(c.cells_used for c in sample.per_chart) <= sample.cells_used
+
+
+def _sequence_case(name):
+    """(domain, f, psi, cover, schedule, spec) of a short epsilon schedule."""
+    if name == "lens":
+        # the general one-variable path: clipped circles with activity masks
+        discs = [{"kind": "disc", "center": [c, 0.0], "radius": 1.0}
+                 for c in (0.0, 1.0)]
+        domain = domain_from_pieces(discs, 1)
+        return (domain, rational_function("1/(z-1)", 1),
+                form_from_expressions("x", 1), build_chart_cover(domain),
+                PairingSchedule(eps0=0.05, ratio=0.5, steps=3),
+                QuadratureSpec())
+    sc = load_scenario(name)
+    domain = build_domain(sc)
+    cover = build_cover(sc, domain)
+    if name == "bidisc":
+        cut = sc.forms[0]["cutoff"]
+        cutoff = plateau_cutoff([complex(*c) for c in cut["center"]],
+                                cut["plateau"], cut["support"])
+        return (domain, rational_function("1", 2),
+                form_from_expressions(("0", "zbar1"), 2, cutoff), cover,
+                PairingSchedule(eps0=0.1, ratio=0.5, steps=2),
+                build_quadrature(sc, rel_tol=1e-1))
+    return (domain, build_function(sc), build_forms(sc)[0], cover,
+            PairingSchedule(eps0=0.1, ratio=0.5, steps=4), build_quadrature(sc))
+
+
+def _sample_bits(sample):
+    return (sample.epsilon, sample.value, sample.err_est, sample.cells_used,
+            sample.per_chart)
+
+
+@pytest.mark.parametrize("name", ["square_f=1/z", "square_f=1/(z-1)", "lens",
+                                  "bidisc"])
+def test_sequence_samples_equal_separate_calls(name):
+    # the sequence reads each cell's weights back from its tables; a lone
+    # call computes them all, so the two must agree bit for bit
+    domain, f, psi, cover, schedule, spec = _sequence_case(name)
+    sequence = pairing_sequence(domain, f, psi, cover, schedule, spec)
+    alone = [pairing_at_epsilon(domain, f, psi, cover, eps, spec)
+             for eps in schedule.epsilons()]
+    # == on floats would let -0.0 pass for 0.0; repr tells them apart
+    assert [repr(_sample_bits(s)) for s in sequence] == \
+        [repr(_sample_bits(s)) for s in alone]
+
+
+def test_no_weight_outlives_a_sequence(monkeypatch):
+    domain, f, psi, cover, schedule, spec = _sequence_case("square_f=1/z")
+    points = [0]
+    partition_weight = ChartCover.partition_weight
+
+    def counting(self, index, z):
+        points[0] += len(z)
+        return partition_weight(self, index, z)
+
+    monkeypatch.setattr(ChartCover, "partition_weight", counting)
+
+    def count(run):
+        points[0] = 0
+        run()
+        return points[0]
+
+    def sequence():
+        pairing_sequence(domain, f, psi, cover, schedule, spec)
+
+    def separate():
+        for eps in schedule.epsilons():
+            pairing_at_epsilon(domain, f, psi, cover, eps, spec)
+
+    first, second = count(sequence), count(sequence)
+    assert first == second
+    assert first < count(separate)

@@ -6,9 +6,10 @@ import pytest
 from holobc.errors import NonFiniteIntegrandError
 from holobc.quadrature import (WG_EMBEDDED, WGK, IntegralResult,
                                QuadratureSpec, SpecialPoint, _contract,
-                               adaptive_integrate, combine_results,
+                               _presplit, adaptive_integrate, combine_results,
                                integrate_boundary, integrate_face,
                                integrate_volume)
+from holobc.scenario import build_domain, load_scenario
 
 TIGHT = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=40_000)
 
@@ -54,6 +55,68 @@ def test_special_point_presplit_tames_near_singularity():
                                  [SpecialPoint(np.array([0.0 + 0.0j]), 10 * eps)])
     assert steered.converged
     assert abs(steered.value - exact) < 1e-8 * exact
+
+
+def presplit_per_cell(box, specials, phys_map, depth):
+    """The presplit with one phys_map call per cell, as the reference."""
+    cells, idx = [(box, 0)], 1
+    locs = np.stack([s.location for s in specials])
+    radii = np.array([s.radius for s in specials])
+    for round_no in range(48):
+        refined, changed = [], False
+        for cell, index in cells:
+            corners = np.array(np.meshgrid(*cell, indexing="ij"))
+            corners = corners.reshape(len(cell), -1).T
+            center = np.array([[0.5 * (lo + hi) for lo, hi in cell]])
+            pts = phys_map(np.concatenate([center, corners], axis=0))
+            c = pts[0]
+            cover = float(np.max(np.sqrt(np.sum(np.abs(pts[1:] - c) ** 2, axis=-1))))
+            dists = np.sqrt(np.sum(np.abs(locs - c) ** 2, axis=-1))
+            touching = dists <= cover + radii + 1e-15
+            finite = radii[touching & (radii > 0)]
+            if touching.any() and (round_no < depth or (
+                    finite.size and 2.0 * cover > finite.min())):
+                axis = int(np.argmax([hi - lo for lo, hi in cell]))
+                lo, hi = cell[axis]
+                mid = 0.5 * (lo + hi)
+                halves = [list(cell), list(cell)]
+                halves[0][axis], halves[1][axis] = (lo, mid), (mid, hi)
+                refined += [(tuple(halves[0]), idx), (tuple(halves[1]), idx + 1)]
+                idx += 2
+                changed = True
+            else:
+                refined.append((cell, index))
+        cells = refined
+        if not changed:
+            return cells, idx
+    return cells, idx
+
+
+@pytest.mark.parametrize("name, piece, specials, depth", [
+    # the square's side y = 0: a shifted pole near it and a corner
+    ("square", 2, [SpecialPoint(np.array([1.0 + 1e-3j]), 1e-2),
+                   SpecialPoint(np.array([0.0j]), 0.0)], 6),
+    # a bidisc face z1 on the circle: a point of the distinguished boundary
+    ("bidisc", 0, [SpecialPoint(np.array([1.0 + 0j, 1.0 + 0j]), 0.0)], 3),
+])
+def test_presplit_maps_a_round_at_once_as_cell_by_cell(name, piece, specials,
+                                                       depth):
+    patch = build_domain(load_scenario(name)).pieces[piece].patches[0]
+    calls = []
+
+    def phys_map(params):
+        calls.append(len(params))
+        return patch.param_map(params)
+
+    cells, idx = _presplit(patch.param_box, specials, phys_map, depth, 0)
+    want, want_idx = presplit_per_cell(patch.param_box, specials,
+                                       patch.param_map, depth)
+    assert [(c.box, c.index) for c in cells] == want
+    assert idx == want_idx
+    assert len(cells) > depth
+    # one call per round, each mapping the centre and corners of every cell
+    assert len(calls) <= 48
+    assert calls[0] == 1 + 2 ** len(patch.param_box)
 
 
 def test_budget_exhaustion_reported_not_hidden():
