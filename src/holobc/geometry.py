@@ -256,9 +256,9 @@ class _Curve:
 
 @dataclass(frozen=True)
 class _Tile:
-    """A cover tile on a factor: weight profile plus one outward direction."""
+    """A cover tile on a factor: one outward direction and a ball around its
+    support.  Its weight is a row of the factor's tile rows."""
 
-    profile: Callable[[np.ndarray], np.ndarray]  # (m,) complex in factor plane -> (m,) float
     v: complex
     center: complex
     radius: float
@@ -305,7 +305,9 @@ class BoxFactor:
         return (lambda w: px(w.real) * py(w.imag)), center, rad
 
     def boundary_tiles(self, radius: float, overlap: float, arcs: int,
-                       v_rotation: float = 0.0) -> list[_Tile]:
+                       v_rotation: float = 0.0):
+        """(tiles, rows): the corner balls and side strips of the box, and
+        ``rows(w)``, their weights at (m,) points w as one (tiles, m) block."""
         rot = np.exp(1j * v_rotation)
         tiles: list[_Tile] = []
         x0, x1 = self.x_range
@@ -316,10 +318,9 @@ class BoxFactor:
             complex(x1, y1): (1 + 1j), complex(x0, y1): (-1 + 1j),
         }
         for c, nsum in corner_normals.items():
-            v = nsum / abs(nsum) * rot
-            prof = RadialProfile(radius / 2.0, radius)
-            tiles.append(_Tile(lambda w, c=c, prof=prof: prof(np.abs(w - c)),
-                               v, c, radius, f"corner({c.real:g},{c.imag:g})"))
+            tiles.append(_Tile(nsum / abs(nsum) * rot, c, radius,
+                               f"corner({c.real:g},{c.imag:g})"))
+        corner = RadialProfile(radius / 2.0, radius)
         dead, plat = radius / 3.0, radius * (0.5 + 0.5 * min(max(overlap, 0.05), 0.45))
         transverse = RadialProfile(radius / 3.0, 2.0 * radius / 3.0)
         sides = [
@@ -328,19 +329,27 @@ class BoxFactor:
             ("l", y0, y1, lambda w: w.imag, lambda w: np.abs(w.real - x0)),
             ("r", y0, y1, lambda w: w.imag, lambda w: np.abs(w.real - x1)),
         ]
+        strips = []
         for name, s0, s1, along, across in sides:
             if s1 - s0 <= 2.2 * plat:
                 continue  # corner plateaus already cover a short side
-            prof_s = IntervalProfile(s0 + dead, s0 + plat, s1 - plat, s1 - dead)
-            v = normals[name] * rot
+            strips.append((IntervalProfile(s0 + dead, s0 + plat, s1 - plat, s1 - dead),
+                           along, across))
             mid = 0.5 * (s0 + s1)
             center = {"b": complex(mid, y0), "t": complex(mid, y1),
                       "l": complex(x0, mid), "r": complex(x1, mid)}[name]
-            tiles.append(_Tile(
-                lambda w, prof_s=prof_s, along=along, across=across:
-                    prof_s(along(w)) * transverse(across(w)),
-                v, center, 0.5 * (s1 - s0) + radius, f"strip-{name}"))
-        return tiles
+            tiles.append(_Tile(normals[name] * rot, center,
+                               0.5 * (s1 - s0) + radius, f"strip-{name}"))
+
+        def rows(w):
+            out = np.empty((len(tiles), len(w)))
+            for k, c in enumerate(corner_normals):
+                out[k] = corner(np.abs(w - c))
+            for k, (along_profile, along, across) in enumerate(strips, len(corner_normals)):
+                out[k] = along_profile(along(w)) * transverse(across(w))
+            return out
+
+        return tiles, rows
 
 
 @dataclass(frozen=True)
@@ -375,22 +384,48 @@ class DiscFactor:
         return (lambda w: prof(np.abs(w - c))), c, R
 
     def boundary_tiles(self, radius: float, overlap: float, arcs: int,
-                       v_rotation: float = 0.0) -> list[_Tile]:
+                       v_rotation: float = 0.0):
+        """(tiles, rows): ``arcs`` arc tiles around the circle, and
+        ``rows(w)``, their weights at (m,) points w as one (arcs, m) block.
+
+        Arc k's weight is ``AngularProfile(theta_k, ...)(angle(w - c))``
+        times the ring profile ``RadialProfile(radius / 3, 2 radius / 3)(
+        ||w - c| - R|)``.  ``rows`` takes the angle, the modulus and the
+        ring profile once for all arcs, and evaluates an arc's angular
+        profile only where the ring profile is positive and the angle lies
+        within 1e-6 rad of the arc's support (a cheap wrap of the angle,
+        whose rounding the margin covers); everywhere else the product is
+        exactly 0, as the profile gives there.
+        """
         c, R = self.center, self.radius_disc
         arcs = max(int(arcs), 4)
         half = np.pi / arcs
-        radial = RadialProfile(radius / 3.0, 2.0 * radius / 3.0)
+        ring = RadialProfile(radius / 3.0, 2.0 * radius / 3.0)
+        angular = []
         tiles = []
         for k in range(arcs):
             theta = 2.0 * np.pi * k / arcs
-            ang = AngularProfile(theta, half * 1.15, min(half * 1.6, np.pi * 0.9))
-            v = np.exp(1j * (theta + v_rotation))
-            tiles.append(_Tile(
-                lambda w, ang=ang, radial=radial, c=c, R=R:
-                    ang(np.angle(w - c)) * radial(np.abs(np.abs(w - c) - R)),
-                v, c + R * np.exp(1j * theta), R * half * 2.0 + radius,
-                f"arc{k}"))
-        return tiles
+            angular.append(AngularProfile(theta, half * 1.15, min(half * 1.6, np.pi * 0.9)))
+            tiles.append(_Tile(np.exp(1j * (theta + v_rotation)),
+                               c + R * np.exp(1j * theta), R * half * 2.0 + radius,
+                               f"arc{k}"))
+
+        def rows(w):
+            q = w - c
+            angle = np.angle(q)
+            radial = ring(np.abs(np.abs(q) - R))
+            out = np.zeros((arcs, len(w)))
+            live = np.flatnonzero(radial > 0.0)
+            live_angle = angle[live]
+            for k, profile in enumerate(angular):
+                # angle in [-pi, pi] and centre in [0, 2 pi): one wrap suffices
+                delta = live_angle - profile.center
+                delta = np.abs(np.where(delta < -np.pi, delta + 2.0 * np.pi, delta))
+                near = live[delta < profile.support_halfwidth + 1e-6]
+                out[k, near] = profile(angle[near]) * radial[near]
+            return out
+
+        return tiles, rows
 
 
 def _piece_callables(spec: dict, var: int, ambient_dim: int) -> tuple:
@@ -992,48 +1027,89 @@ class TranslationChart:
 class ChartCover:
     """Translation charts whose raw bumps, normalized pointwise, sum to one.
 
-    Each chart's raw weight is a product of shared weight factors:
-    ``chart_factors[i]`` lists the indices into ``factors`` whose product, in
-    that order, is chart i's raw weight.  A one-variable chart has one
-    factor, its own bump.  A product chart has two, the profiles of z1 and
-    z2, and most of them recur across charts (the 48 charts of a bidisc share
-    14 factors).  ``chart_weights``, ``raw_weights`` and ``partition_weight``
-    evaluate every factor once per call and form the chart products in chart
-    order; no other route evaluates a chart's weight.
+    ``factors`` are callables, each mapping (m, n) points to a (k, m) block
+    of weight rows; the blocks, stacked in order, are the cover's factor
+    rows (``factor_rows``).  ``chart_factors[i]`` lists the rows whose
+    product, in that order, is chart i's raw weight.  A one-variable chart's
+    bump is its own one-row block.  A product chart is the product of two
+    rows, one profile of z1 and one of z2, and most rows recur across charts:
+    the 48 charts of a bidisc share 14 rows, from four blocks (the 6 arcs
+    and the interior profile of each variable), and a block computes its
+    rows together.  ``chart_weights``, ``raw_weights`` and
+    ``partition_weight`` evaluate every block once per call and form the
+    chart products in chart order; no other route evaluates a chart's
+    weight.
     """
 
     charts: tuple[TranslationChart, ...]
     factors: tuple[Callable[[np.ndarray], np.ndarray], ...]
     chart_factors: tuple[tuple[int, ...], ...]
 
+    def factor_rows(self, z: np.ndarray) -> list[np.ndarray]:
+        """Every factor row at z, (m,) each, in stacked block order."""
+        return [row for factor in self.factors for row in factor(z)]
+
     def chart_weights(self, z: np.ndarray):
         """Every chart's raw weight at z in chart order, one (m,) array at a
-        time, each factor evaluated once."""
-        values = [factor(z) for factor in self.factors]
+        time, each block evaluated once."""
+        rows = self.factor_rows(z)
         for indices in self.chart_factors:
-            w = values[indices[0]]
+            w = rows[indices[0]]
             for k in indices[1:]:
-                w = w * values[k]
+                w = w * rows[k]
             yield w
 
     def raw_weights(self, z: np.ndarray) -> np.ndarray:
         return np.stack(list(self.chart_weights(z)))
 
-    def partition_weight(self, index, z: np.ndarray) -> np.ndarray:
-        """Normalized partition weights, zero off each chart's support.
+    def partition_weight(self, index: Sequence[int], z: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positive normalized partition weights of the charts ``index``
+        at the (m, n) points z, as ``(pts, cols, w)``: for each (point,
+        column) pair whose weight is positive, in row-major order, the
+        point, its column (a position in ``index``) and the weight.
 
-        ``index`` is one chart index, giving (m,) weights, or a sequence of
-        chart indices, giving (m, len(index)) weights in that order.
+        A chart's raw weight is formed only on the points where its
+        sparsest factor row is positive; it is 0 everywhere else.  The total
+        adds every chart's positive raw weights in chart order, which is the
+        sum of all the raw rows (adding an exact 0 changes no float), and a
+        weight is its chart's raw weight over that total.  A weight that
+        underflows to 0 in that division has no entry.
         """
-        indices = np.atleast_1d(np.asarray(index, dtype=int))
-        own = np.empty((len(indices), len(z)))   # chart-major: rows are contiguous
+        rows = self.factor_rows(z)
+        support = [np.flatnonzero(row > 0.0) for row in rows]
+        column = {chart: k for k, chart in enumerate(index)}
         total = np.zeros(len(z))
-        for i, w in enumerate(self.chart_weights(z)):
-            total += w
-            own[indices == i] = w
-        # own is 0 wherever total is, so those points keep weight 0
-        np.divide(own, np.where(total > 0.0, total, 1.0), out=own)
-        return own[0] if np.ndim(index) == 0 else own.T
+        picked = [None] * len(column)
+        for i, indices in enumerate(self.chart_factors):
+            pts = min((support[k] for k in indices), key=len)
+            w = rows[indices[0]][pts]
+            if len(indices) > 1:
+                for k in indices[1:]:
+                    w = w * rows[k][pts]
+                hot = w > 0.0   # a product of positive rows can underflow
+                pts, w = pts[hot], w[hot]
+            np.add.at(total, pts, w)
+            if i in column:
+                picked[column[i]] = (pts, w)
+        # each column in turn puts its entries in their point's next free
+        # slot; a column holds a point at most once
+        counts = np.bincount(np.concatenate([pts for pts, _ in picked]),
+                             minlength=len(z))
+        slot = np.cumsum(counts) - counts
+        pts = np.repeat(np.arange(len(z)), counts)
+        cols = np.empty(len(pts), dtype=np.int64)
+        w = np.empty(len(pts))
+        for k, (at_pts, own) in enumerate(picked):
+            at = slot[at_pts]
+            cols[at] = k
+            w[at] = own
+            np.add.at(slot, at_pts, 1)
+        w /= total[pts]
+        hot = w > 0.0
+        if not hot.all():   # a weight underflowed in the division
+            pts, cols, w = pts[hot], cols[hot], w[hot]
+        return pts, cols, w
 
 
 def _fine_boundary_grid(domain: PiecewiseDomain) -> tuple[np.ndarray, np.ndarray]:
@@ -1137,7 +1213,7 @@ def _cover_1d(domain, radius, strip_overlap, arcs_per_circle,
             charts.append(TranslationChart(
                 SupportBall(np.array([c]), radius), v,
                 f"corner({c.real:.3g},{c.imag:.3g})"))
-            bumps.append(lambda z, c=c, prof=prof: prof(np.abs(z[..., 0] - c)))
+            bumps.append(lambda z, c=c, prof=prof: prof(np.abs(z[..., 0] - c))[None])
 
     transverse = RadialProfile(radius / 3.0, 2.0 * radius / 3.0)
     dead = radius / 3.0
@@ -1157,7 +1233,8 @@ def _cover_1d(domain, radius, strip_overlap, arcs_per_circle,
 
 def _strips_for_curve_patch(domain, piece_idx, patch, corner_pts, radius,
                             dead, plat, transverse, arcs_per_circle, rotation):
-    """(chart, bump) pairs of the face strips along one curve patch.
+    """(chart, bump) pairs of the face strips along one curve patch; a bump
+    maps (m, 1) points to its (1, m) weight row.
 
     ``corner_pts`` are the corner chart centres, the in-closure strata
     samples; those lying on the patch cut it into segments, each carrying
@@ -1228,7 +1305,7 @@ def _strips_for_curve_patch(domain, piece_idx, patch, corner_pts, radius,
             on_curve = patch.param_map(
                 _wrap(t, t0, t1, patch.periodic)[:, None])[:, 0]
             d = np.abs(on_curve - zpts[..., 0])
-            return prof(t) * transverse(d)
+            return (prof(t) * transverse(d))[None]
 
         half_len = 0.5 * (sb - sa) * sp
         out.append((TranslationChart(
@@ -1305,15 +1382,14 @@ def _circumcenter(p1: complex, p2: complex, p3: complex) -> complex:
 def _cover_product(domain, radius, strip_overlap, arcs_per_circle,
                    rotation) -> ChartCover:
     f0, f1 = domain.product_factors
-    tiles0 = f0.boundary_tiles(radius, strip_overlap, arcs_per_circle, rotation)
-    tiles1 = f1.boundary_tiles(radius, strip_overlap, arcs_per_circle, rotation)
+    tiles0, rows0 = f0.boundary_tiles(radius, strip_overlap, arcs_per_circle, rotation)
+    tiles1, rows1 = f1.boundary_tiles(radius, strip_overlap, arcs_per_circle, rotation)
     int0, c0, r0 = f0.interior_profile(radius)
     int1, c1, r1 = f1.interior_profile(radius)
-    # shared weight factors on C^2: tiles and interior profile of each variable
-    factors = ([lambda z, p=t.profile: p(z[..., 0]) for t in tiles0]
-               + [lambda z: int0(z[..., 0])]
-               + [lambda z, p=t.profile: p(z[..., 1]) for t in tiles1]
-               + [lambda z: int1(z[..., 1])])
+    # shared weight rows on C^2: the tiles, then the interior profile, of
+    # each variable in turn
+    factors = (lambda z: rows0(z[..., 0]), lambda z: int0(z[..., 0])[None],
+               lambda z: rows1(z[..., 1]), lambda z: int1(z[..., 1])[None])
     i_int0 = len(tiles0)
     i_tiles1 = i_int0 + 1
     i_int1 = i_tiles1 + len(tiles1)
@@ -1362,14 +1438,13 @@ def _check_cover(domain: PiecewiseDomain, cover: ChartCover, radius: float) -> N
             moved[mine] += off * (g[:, 0::2] + 1j * g[:, 1::2])
         all_pts.append(moved)
     probe = np.concatenate(all_pts)
+    # one evaluation of the cover gives the coverage floor and the defect
     raw = cover.raw_weights(probe)
     total = raw.sum(axis=0)
     floor = float(np.min(total))
-    if floor <= 1e-9:
+    if not floor > 1e-9:   # also refuses a NaN floor
         raise GeometryError(f"chart cover leaves the boundary uncovered (floor {floor:.2e})")
-    # exercise the normalized-weight path the pairing uses
-    partition = cover.partition_weight(range(len(cover.charts)), probe).sum(axis=1)
-    defect = float(np.max(np.abs(partition - 1.0)))
+    defect = float(np.max(np.abs((raw / total).sum(axis=0) - 1.0)))
     if defect > 1e-10:
         raise GeometryError(f"partition of unity defect {defect:.2e}")
     fine_pts, fine_owners = _fine_boundary_grid(domain)

@@ -318,15 +318,6 @@ def _chart_specials(f: HolomorphicFunction, chart: TranslationChart,
     return specials
 
 
-def _positive_weights(cover: ChartCover, charts: Sequence[int],
-                      z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every positive partition weight at z: the point and column of each,
-    in row-major order, and the weight."""
-    w = cover.partition_weight(charts, z)
-    pts, cols = np.nonzero(w > 0.0)
-    return pts, cols, w[pts, cols]
-
-
 def _grown(a: np.ndarray, need: int) -> np.ndarray:
     if need <= len(a):
         return a
@@ -343,10 +334,12 @@ class _WeightTable:
     The engine hands the density whole cells, each a consecutive block of
     ``nodes`` points (``adaptive_integrate``).  A patch map is one-to-one
     inside its parameter box, so a cell's first and last points, which fix
-    its box, name it.  Each positive (point, chart) entry takes 14 bytes: its
-    node within the cell (int32), its column (int16) and its weight
-    (float64), in arrays that double when full.  Cell k's entries are
-    ``start[k]:start[k + 1]``.
+    its box, name it.  The new cells of a batch get their weights from one
+    ``ChartCover.partition_weight`` call, whose positive (point, column)
+    entries, in row-major order, the table keeps as they come.  Each entry
+    takes 14 bytes: its node within the cell (int32), its column (int16)
+    and its weight (float64), in arrays that double when full.  Cell k's
+    entries are ``start[k]:start[k + 1]``.
     """
 
     def __init__(self, nodes: int):
@@ -359,7 +352,7 @@ class _WeightTable:
 
     def positive_weights(self, cover: ChartCover, charts: Sequence[int],
                          z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_positive_weights(cover, charts, z)``, computing only the cells
+        """``cover.partition_weight(charts, z)``, computing only the cells
         not yet in the table."""
         m = self.nodes
         blocks = z.reshape(-1, m, z.shape[-1])
@@ -368,8 +361,8 @@ class _WeightTable:
         keys = [raw[k:k + size] for k in range(0, len(raw), size)]
         new = [k for k, key in enumerate(keys) if key not in self.cell_of]
         if new:
-            self._add([keys[k] for k in new], *_positive_weights(
-                cover, charts, blocks[new].reshape(-1, z.shape[-1])))
+            self._add([keys[k] for k in new], *cover.partition_weight(
+                charts, blocks[new].reshape(-1, z.shape[-1])))
         cells = np.fromiter((self.cell_of[key] for key in keys), dtype=np.int64,
                             count=len(keys))
         lo = self.start[cells]
@@ -403,10 +396,12 @@ def _translated_density(cover: ChartCover, charts: Sequence[int],
     """Face density (m, K) of the translated pairing, one column per chart:
     chi_i(z) f(z - shift_i) times the pullback of psi.  With ``table`` the
     weights chi_i come from it, which computes each cell's weights once."""
-    weights = _positive_weights if table is None else table.positive_weights
 
     def density(z, frame):
-        pts, cols, w = weights(cover, charts, z)
+        if table is None:
+            pts, cols, w = cover.partition_weight(charts, z)
+        else:
+            pts, cols, w = table.positive_weights(cover, charts, z)
         out = np.zeros((len(z), len(charts)), dtype=np.complex128)
         # f is evaluated only at (point, chart) pairs of positive weight, so
         # a (possibly singular) f never blows up where a weight vanishes

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from holobc import geometry
+from holobc.bumps import AngularProfile, RadialProfile
 from holobc.errors import GeometryError, NoOutwardVectorError, ScenarioError
-from holobc.geometry import (CornerStratum, SmoothPiece, StratumVerdict,
-                             SupportBall, _dedupe, _gauss_newton_step,
-                             build_chart_cover, classify_stratum,
-                             domain_from_pieces, locate_strata,
-                             nearest_boundary_gap, validate_domain)
-from holobc.scenario import build_domain, load_scenario
+from holobc.geometry import (CornerStratum, DiscFactor, SmoothPiece,
+                             StratumVerdict, SupportBall, _dedupe,
+                             _gauss_newton_step, build_chart_cover,
+                             classify_stratum, domain_from_pieces,
+                             locate_strata, nearest_boundary_gap,
+                             validate_domain)
+from holobc.scenario import build_cover, build_domain, load_scenario
 
 SQUARE_PIECES = [
     {"kind": "box-side", "axis": "x", "side": "min", "value": 0.0},
@@ -264,11 +266,20 @@ def test_nearest_boundary_gap_square(square_domain):
     assert nearest_boundary_gap(square_domain, np.array([0.0 + 1.0j])) < 1e-7
 
 
+def dense_partition(cover, z, index=None):
+    """``cover.partition_weight``'s entries scattered into a dense
+    (m, len(index)) array; ``index`` defaults to every chart."""
+    if index is None:
+        index = range(len(cover.charts))
+    pts, cols, w = cover.partition_weight(index, z)
+    out = np.zeros((len(z), len(index)))
+    out[pts, cols] = w
+    return out
+
+
 def test_cover_is_a_partition_of_unity(square_domain, square_cover):
     pts, _ = square_domain.boundary_samples(per_axis=64)
-    total = np.zeros(len(pts))
-    for i in range(len(square_cover.charts)):
-        total += square_cover.partition_weight(i, pts)
+    total = dense_partition(square_cover, pts).sum(axis=1)
     assert np.max(np.abs(total - 1.0)) < 1e-10
 
 
@@ -294,9 +305,9 @@ def test_inward_translation_enters_the_domain_on_support(square_domain,
                                                          square_cover):
     pts, _ = square_domain.boundary_samples(per_axis=48)
     eps = 1e-4
+    weights = dense_partition(square_cover, pts)
     for i, chart in enumerate(square_cover.charts):
-        w = square_cover.partition_weight(i, pts)
-        hot = pts[w > 1e-6]
+        hot = pts[weights[:, i] > 1e-6]
         if len(hot) == 0:
             continue
         assert np.all(square_domain.contains(hot - eps * chart.v, tol=1e-12))
@@ -307,6 +318,15 @@ def test_reversed_corner_directions_caught(square_domain):
     for rotation in (math.pi, math.nan):
         with pytest.raises(NoOutwardVectorError):
             build_chart_cover(square_domain, corner_v_rotation=rotation)
+
+
+def test_cover_check_refuses_a_nan_weight(square_domain, square_cover):
+    # a NaN total is not a coverage floor above 1e-9
+    nan_cover = dataclasses.replace(
+        square_cover, factors=square_cover.factors[:-1]
+        + (lambda z: np.full((1, len(z)), np.nan),))
+    with pytest.raises(GeometryError, match="uncovered"):
+        geometry._check_cover(square_domain, nan_cover, 0.3)
 
 
 def test_two_valid_covers_differ(square_domain, square_cover):
@@ -329,9 +349,7 @@ def test_support_ball_overlap_predicate():
 
 def test_bidisc_cover_tiles_both_factors(bidisc_domain, bidisc_cover):
     pts, _ = bidisc_domain.boundary_samples(per_axis=12)
-    total = np.zeros(len(pts))
-    for i in range(len(bidisc_cover.charts)):
-        total += bidisc_cover.partition_weight(i, pts)
+    total = dense_partition(bidisc_cover, pts).sum(axis=1)
     assert np.max(np.abs(total - 1.0)) < 1e-10
 
 
@@ -371,7 +389,7 @@ def test_arc_strip_weights_are_continuous_across_the_seam():
                                 "radius": 1.0}], 1)
     cover = build_chart_cover(disc)
     z = np.exp(1j * np.array([-1e-6, 1e-6]))[:, None]
-    weights = cover.partition_weight(range(len(cover.charts)), z)
+    weights = dense_partition(cover, z)
     assert np.max(weights[0]) > 0.4
     assert np.allclose(weights[0], weights[1], atol=1e-4)
 
@@ -401,9 +419,10 @@ def test_shared_factor_weights_match_per_chart_evaluation(request, which):
     def chart_weight(i, pts):
         """Chart i's raw weight: its factor product, evaluated on its own."""
         indices = cover.chart_factors[i]
-        product = cover.factors[indices[0]](pts)
+        rows = cover.factor_rows(pts)
+        product = rows[indices[0]]
         for k in indices[1:]:
-            product = product * cover.factors[k](pts)
+            product = product * rows[k]
         return product
 
     charts = range(len(cover.charts))
@@ -416,29 +435,112 @@ def test_shared_factor_weights_match_per_chart_evaluation(request, which):
             total += chart_weight(other, z[hot])
         expected = np.zeros(len(z))
         expected[hot] = weights[i][hot] / total
-        assert np.array_equal(cover.partition_weight(i, z), expected)
+        assert np.array_equal(dense_partition(cover, z, [i])[:, 0], expected)
 
     # a sequence of indices gives one column per chart, in the order asked
     order = list(range(len(cover.charts)))[::-1]
-    columns = cover.partition_weight(order, z)
+    columns = dense_partition(cover, z, order)
     assert columns.shape == (len(z), len(order))
     for k, i in enumerate(order):
-        assert np.array_equal(columns[:, k], cover.partition_weight(i, z))
+        assert np.array_equal(columns[:, k], dense_partition(cover, z, [i])[:, 0])
+
+
+@pytest.mark.parametrize("which", ["square", "lens", "bidisc",
+                                   "square-cross-plane"])
+def test_sparse_partition_weights_equal_a_dense_reference(which):
+    # the dense reference: every chart's raw weight over their sum, formed
+    # from the factor rows; partition_weight forms only the positive ones
+    if which == "lens":
+        domain = domain_from_pieces([{"kind": "disc", "center": [c, 0.0],
+                                      "radius": 1.0} for c in (0.0, 1.0)], 1)
+        cover = build_chart_cover(domain)
+    else:
+        sc = load_scenario(which)
+        domain = build_domain(sc)
+        cover = build_cover(sc, domain)
+    z = near_boundary_points(domain, 96 if domain.ambient_dim == 1 else 512,
+                             0.035)
+    rows = cover.factor_rows(z)
+    raw = []
+    for indices in cover.chart_factors:
+        product = rows[indices[0]]
+        for k in indices[1:]:
+            product = product * rows[k]
+        raw.append(product)
+    total = np.zeros(len(z))
+    for w in raw:
+        total += w
+    charts = list(range(len(cover.charts)))
+    for order in (charts, charts[::-1]):
+        reference = np.zeros((len(z), len(order)))
+        for k, i in enumerate(order):
+            np.divide(raw[i], total, out=reference[:, k], where=total > 0.0)
+        pts, cols, w = cover.partition_weight(order, z)
+        assert np.all(w > 0.0)
+        # row-major: by point, then by column within a point
+        assert np.all(np.diff(pts * len(order) + cols) > 0)
+        dense = np.zeros_like(reference)
+        dense[pts, cols] = w
+        assert np.array_equal(dense, reference)
+        assert len(w) == np.count_nonzero(reference)
+
+
+def _arc_profiles(factor, radius, arcs):
+    """Each arc tile's weight, AngularProfile(angle(w - c)) times
+    RadialProfile(||w - c| - R|), evaluated on its own."""
+    half = np.pi / arcs
+    ring = RadialProfile(radius / 3.0, 2.0 * radius / 3.0)
+    c, R = factor.center, factor.radius_disc
+    return [lambda w, ang=AngularProfile(2.0 * np.pi * k / arcs, half * 1.15,
+                                         min(half * 1.6, np.pi * 0.9)):
+            ang(np.angle(w - c)) * ring(np.abs(np.abs(w - c) - R))
+            for k in range(arcs)]
+
+
+@pytest.mark.parametrize("arcs", [4, 6, 9])
+def test_arc_rows_are_angular_times_radial_profiles(arcs):
+    factor = DiscFactor(0.25 - 0.5j, 1.3)
+    radius = 0.3
+    tiles, rows = factor.boundary_tiles(radius, 0.2, arcs)
+    profiles = _arc_profiles(factor, radius, arcs)
+    assert len(tiles) == len(profiles) == arcs
+    # the seam (theta = +-pi), theta = 0, and each arc's support edges
+    support = min(np.pi / arcs * 1.6, np.pi * 0.9)
+    edges = [2.0 * np.pi * k / arcs + side * support
+             for k in range(arcs) for side in (-1.0, 1.0)]
+    angles = np.array([np.pi, -np.pi, 0.0]
+                      + [e + d for e in edges for d in (-1e-12, 0.0, 1e-12)]
+                      + list(np.linspace(-np.pi, np.pi, 721)))
+    # on the circle, on the ring's plateau and slopes, and at its support edges
+    reach = 2.0 * radius / 3.0
+    offsets = np.array([0.0, 0.05, -0.12, 0.15, -0.18, 0.19, -0.195]
+                       + [s * reach + d for s in (-1.0, 1.0)
+                          for d in (-1e-12, 0.0, 1e-12)])
+    w = (factor.center + (factor.radius_disc + offsets[:, None])
+         * np.exp(1j * angles[None, :])).ravel()
+    block = rows(w)
+    assert block.shape == (arcs, len(w))
+    for k, profile in enumerate(profiles):
+        expected = profile(w)
+        assert np.array_equal(block[k], expected)
+        assert np.any(expected > 0.0) and np.any(expected == 0.0)
 
 
 def test_bidisc_chart_weights_are_tile_products(bidisc_domain, bidisc_cover):
     # each product chart is (tile or interior of z1) x (tile or interior of
     # z2), in the order the cover lists them
     f0, f1 = bidisc_domain.product_factors
-    tiles0 = f0.boundary_tiles(0.3, 0.2, 6)
-    tiles1 = f1.boundary_tiles(0.3, 0.2, 6)
+    tiles0 = _arc_profiles(f0, 0.3, 6)
+    tiles1 = _arc_profiles(f1, 0.3, 6)
     int0 = f0.interior_profile(0.3)[0]
     int1 = f1.interior_profile(0.3)[0]
-    pairs = ([(t.profile, int1) for t in tiles0]
-             + [(int0, t.profile) for t in tiles1]
-             + [(a.profile, b.profile) for a in tiles0 for b in tiles1])
+    pairs = ([(t, int1) for t in tiles0]
+             + [(int0, t) for t in tiles1]
+             + [(a, b) for a in tiles0 for b in tiles1])
     assert len(bidisc_cover.charts) == len(pairs) == 48
-    assert len(bidisc_cover.factors) == 14
     z = near_boundary_points(bidisc_domain, 512, 0.035)
+    # four blocks: the arcs, then the interior profile, of each variable
+    assert len(bidisc_cover.factors) == 4
+    assert len(bidisc_cover.factor_rows(z)) == 14
     for w, (p0, p1) in zip(bidisc_cover.raw_weights(z), pairs):
         assert np.array_equal(w, p0(z[:, 0]) * p1(z[:, 1]))

@@ -192,7 +192,7 @@ def test_translated_pole_landing_on_live_boundary_rejected(square_domain,
         v=np.array([1.0 + 0.0j]),
         label="tangential")
     cover = ChartCover(charts=(chart,),
-                       factors=(lambda z: np.ones(z.shape[0]),),
+                       factors=(lambda z: np.ones((1, z.shape[0])),),
                        chart_factors=((0,),))
     with pytest.raises(PoleOnBoundaryError):
         pairing_at_epsilon(square_domain, f, x_form, cover, 0.25, fast_spec)
